@@ -86,5 +86,5 @@ except ImportError:
 from ngpr.serialize import write_sampled_paths_csv
 
 with open(out_dir / "demo_warp_samples.csv", "w", newline="") as fp:
-    write_sampled_paths_csv(fp, mix.paths[-5:], [s.path_ref for s in mix.samples[-5:]])
+    write_sampled_paths_csv(fp, mix.paths[-5:], mix.sweeps[-5:])
 print(f"wrote {out_dir / 'demo_warp_samples.csv'}")

@@ -9,6 +9,7 @@ failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import json
 import os
@@ -22,10 +23,10 @@ from . import serialize
 from .datagen import GenSpec, generate
 from .errors import NumericalError
 from .gp import (RegressionData, gp_log_marginal_likelihood, grid_search_length_scale,
-                 posterior)
+                 log_conditional_likelihood, posterior)
 from .kernels import KernelSpec
 from .levy import LevyMeasureSpec, normalize_scale, simulate_path
-from .sampler import SamplerConfig, mixture_moments, predictive_moments, run_chains
+from .sampler import MixtureSummary, SamplerConfig, combine, run_chains
 
 SEED_ENV_VAR = "NGPR_SEED"
 
@@ -71,6 +72,14 @@ def _parse_bool(value: str) -> bool:
     raise UsageError(f"expected a boolean, got {value!r}")
 
 
+def _apply_set(cfg: dict[str, str], pairs) -> None:
+    for pair in pairs or []:
+        if "=" not in pair:
+            raise UsageError(f"--set expects key=value, got {pair!r}")
+        key, _, value = pair.partition("=")
+        cfg[key.strip()] = value.strip()
+
+
 def load_config(args) -> dict[str, str]:
     """Defaults, then the env-var seed, the config file, --set pairs, and flags."""
     cfg = dict(DEFAULTS)
@@ -86,11 +95,7 @@ def load_config(args) -> dict[str, str]:
             cfg.update(serialize.parse_kv_text(path.read_text()))
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from exc
-    for pair in getattr(args, "set", None) or []:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        cfg[key.strip()] = value.strip()
+    _apply_set(cfg, getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
         cfg["sampler.seed"] = str(args.seed)
         cfg["gen.seed"] = str(args.seed)
@@ -173,6 +178,14 @@ def _echo_config(out_dir: Path, cfg: dict[str, str]) -> None:
     (out_dir / "config.txt").write_text(serialize.format_kv_text(cfg))
 
 
+def _write_posterior(path: Path, X, moments: MixtureSummary, noise_variance: float) -> None:
+    """Mixture mean, posterior std and predictive std (noise added) at each input."""
+    var = np.diag(moments.scatter) / moments.count
+    with open(path, "w", newline="") as fp:
+        serialize.write_posterior_csv(fp, X, moments.mean, np.sqrt(var),
+                                      np.sqrt(var + noise_variance))
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -253,19 +266,14 @@ def cmd_fit(args) -> int:
     data = RegressionData(X[observed], y[observed], noise_variance)
     mix, chains = run_chains(data, X, kspec, lspec, scfg, n_chains=n_chains, domains=domains)
 
-    post_std = np.sqrt(np.diag(mix.aggregate_cov))
-    pred_mean, pred_cov = predictive_moments(mix, noise_variance)
-    pred_std = np.sqrt(np.diag(pred_cov))
-    with open(out_dir / "posterior.csv", "w", newline="") as fp:
-        serialize.write_posterior_csv(fp, X, mix.aggregate_mean, post_std, pred_std)
+    _write_posterior(out_dir / "posterior.csv", X, mix.moments, noise_variance)
 
     for idx, chain in enumerate(chains):
         suffix = "" if n_chains == 1 else f"_chain{idx}"
         with open(out_dir / f"trace{suffix}.csv", "w", newline="") as fp:
             serialize.write_trace_csv(fp, chain.trace)
         with open(out_dir / f"paths{suffix}.csv", "w", newline="") as fp:
-            serialize.write_sampled_paths_csv(
-                fp, chain.paths, [s.path_ref for s in chain.samples])
+            serialize.write_sampled_paths_csv(fp, chain.paths, chain.sweeps)
 
     lml_fixed = gp_log_marginal_likelihood(data, kspec)
     l_opt, lml_opt = grid_search_length_scale(data, kspec)
@@ -276,7 +284,7 @@ def cmd_fit(args) -> int:
         "gp_log_marginal": lml_fixed,
         "gp_log_marginal_opt": lml_opt,
         "gp_length_scale_opt": l_opt,
-        "n_samples": len(mix.samples),
+        "n_samples": len(mix.sweeps),
         "n_chains": n_chains,
         "seed": scfg.seed,
         "noise_variance": noise_variance,
@@ -286,17 +294,15 @@ def cmd_fit(args) -> int:
         true_path_file = Path(args.true_path)
         if not true_path_file.is_file():
             raise UsageError(f"true-path file not found: {true_path_file}")
-        from .gp import log_conditional_likelihood
         with open(true_path_file, newline="") as fp:
             true_path = serialize.read_jumps_csv(fp, domains)
         summary["true_path_log_cond_lik"] = log_conditional_likelihood(data, true_path, kspec)
 
-    if (~observed).any():
-        held_X, held_y = X[~observed], y[~observed]
-        mask = ~observed
-        summary["rmse_ngp"] = float(
-            np.sqrt(np.mean((mix.aggregate_mean[mask] - held_y) ** 2)))
-        gp_post = posterior(data, held_X, None, kspec)
+    held = ~observed
+    if held.any():
+        held_y = y[held]
+        summary["rmse_ngp"] = float(np.sqrt(np.mean((mix.aggregate_mean[held] - held_y) ** 2)))
+        gp_post = posterior(data, X[held], None, kspec)
         summary["rmse_gp"] = float(np.sqrt(np.mean((gp_post.mean - held_y) ** 2)))
 
     _echo_config(out_dir, cfg)
@@ -320,9 +326,7 @@ def cmd_predict(args) -> int:
     if not config_path.is_file():
         raise UsageError(f"not a fit bundle (missing config.txt): {bundle}")
     cfg = serialize.parse_kv_text(config_path.read_text())
-    for pair in args.set or []:
-        key, _, value = pair.partition("=")
-        cfg[key.strip()] = value.strip()
+    _apply_set(cfg, args.set)
     out_path = _require_parent(Path(args.out))
 
     data_path = Path(args.data) if args.data else Path(cfg["io.dataset"])
@@ -339,37 +343,22 @@ def cmd_predict(args) -> int:
         X_new = serialize.read_inputs_csv(fp)
     if X_new.shape[1] != len(domains):
         raise UsageError(f"inputs have {X_new.shape[1]} dimensions, model has {len(domains)}")
-    bad_rows = [
-        i for i in range(X_new.shape[0])
-        if any(not domains[k][0] <= X_new[i, k] <= domains[k][1]
-               for k in range(len(domains)))
-    ]
-    if bad_rows:
+    lo, hi = np.transpose(domains)
+    bad_rows = np.flatnonzero(~((lo <= X_new) & (X_new <= hi)).all(axis=1))
+    if bad_rows.size:
         raise UsageError(
-            f"{len(bad_rows)} input rows outside the trained domain "
-            f"{cfg['fit.domain']}: rows {bad_rows[:10]}")
+            f"{bad_rows.size} input rows outside the trained domain "
+            f"{cfg['fit.domain']}: rows {bad_rows[:10].tolist()}")
 
-    path_files = sorted(glob.glob(str(bundle / "paths*.csv")))
-    if not path_files:
-        raise UsageError(f"no stored subordinator samples (paths*.csv) in {bundle}")
-    samples = []
-    for path_file in path_files:
+    summary = None
+    for path_file in sorted(glob.glob(str(bundle / "paths*.csv"))):
         with open(path_file, newline="") as fp:
-            for sweep, sample_path in serialize.read_sampled_paths_csv(fp, domains):
-                samples.append(posterior(data, X_new, sample_path, kspec, path_ref=sweep))
-
-    if X_new.shape[0] == 0:
-        mean = post_std = pred_std = np.empty(0)
-    else:
-        from dataclasses import replace
-
-        mean, cov = mixture_moments(samples)
-        post_std = np.sqrt(np.diag(cov))
-        eye = noise_variance * np.eye(X_new.shape[0])
-        _, pred_cov = mixture_moments([replace(s, cov=s.cov + eye) for s in samples])
-        pred_std = np.sqrt(np.diag(pred_cov))
-    with open(out_path, "w", newline="") as fp:
-        serialize.write_posterior_csv(fp, X_new, mean, post_std, pred_std)
+            for _sweep, sample_path in serialize.read_sampled_paths_csv(fp, domains):
+                post = posterior(data, X_new, sample_path, kspec)
+                summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
+    if summary is None:
+        raise UsageError(f"no stored subordinator samples (paths*.csv) in {bundle}")
+    _write_posterior(out_path, X_new, summary, noise_variance)
     print(f"wrote predictions for {X_new.shape[0]} points to {out_path}")
     return 0
 
@@ -392,9 +381,8 @@ def cmd_simulate(args) -> int:
     if args.eval_points:
         eval_path = _require_parent(Path(args.eval_out)) if args.eval_out \
             else out_path.with_name(out_path.stem + "_values.csv")
-        import csv as _csv
         with open(eval_path, "w", newline="") as fp:
-            writer = _csv.writer(fp, lineterminator="\n")
+            writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(["dim", "x", "w"])
             for dim, (lo, hi) in enumerate(domains):
                 grid = np.linspace(lo, hi, args.eval_points)
@@ -415,9 +403,8 @@ def cmd_normalize(args) -> int:
     if not in_path.is_file():
         raise UsageError(f"input CSV not found: {in_path}")
     out_path = _require_parent(Path(args.out))
-    import csv as _csv
     with open(in_path, newline="") as fp:
-        reader = _csv.reader(fp)
+        reader = csv.reader(fp)
         header = next(reader)
         rows = [row for row in reader if row]
     d = sum(1 for name in header if name.startswith("x_"))
@@ -431,7 +418,7 @@ def cmd_normalize(args) -> int:
             raise UsageError(f"column x_{k} is constant; cannot rescale to [0, 1]")
         cols[:, k] = (cols[:, k] - lo) / (hi - lo)
     with open(out_path, "w", newline="") as fp:
-        writer = _csv.writer(fp, lineterminator="\n")
+        writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
         for i, row in enumerate(rows):
             writer.writerow([repr(float(v)) for v in cols[i]] + row[d:])
@@ -500,10 +487,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, LinAlgError) as exc:

@@ -65,9 +65,6 @@ def _input_grid(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.grid == UNIFORM_GRID:
         cols = [rng.uniform(lo, hi, size=spec.n_points) for lo, hi in spec.domains]
         return np.column_stack(cols)
-    if d == 1:
-        lo, hi = spec.domains[0]
-        return np.linspace(lo, hi, spec.n_points).reshape(-1, 1)
     per_dim = round(spec.n_points ** (1.0 / d))
     if per_dim ** d != spec.n_points:
         raise ValueError(
@@ -87,10 +84,7 @@ def generate(spec: GenSpec, rng: np.random.Generator) -> SyntheticDataset:
     returned so the likelihood under the truth can be evaluated later.
     """
     X = _input_grid(spec, rng)
-    if spec.levy is None:
-        path = None
-    else:
-        path = simulate_path(spec.levy, spec.domains, rng)
+    path = None if spec.levy is None else simulate_path(spec.levy, spec.domains, rng)
     Xw = warp_inputs(path, X)
     K = build_gram(Xw, None, spec.kernel)
     try:

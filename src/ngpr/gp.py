@@ -9,7 +9,7 @@ the noisy training Gram matrix; no explicit inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -59,7 +59,6 @@ class ConditionalPosterior:
     mean: np.ndarray
     cov: np.ndarray
     log_cond_lik: float
-    path_ref: int | None = None
 
 
 def warp_inputs(path: SubordinatorPath | None, X: np.ndarray) -> np.ndarray:
@@ -108,7 +107,7 @@ def log_conditional_likelihood(data: RegressionData, path: SubordinatorPath | No
 
 
 def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath | None,
-              kspec: KernelSpec, path_ref: int | None = None) -> ConditionalPosterior:
+              kspec: KernelSpec) -> ConditionalPosterior:
     """Posterior mean/covariance at test points for one fixed warp.
 
     Negative posterior-variance entries within the numerical slack are
@@ -129,7 +128,7 @@ def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath |
             f"posterior variance {diag.min():.3e} below tolerance {_NEG_VARIANCE_SLACK:.0e}"
         )
     np.fill_diagonal(cov, np.maximum(diag, 0.0))
-    return ConditionalPosterior(mean=mean, cov=cov, log_cond_lik=log_lik, path_ref=path_ref)
+    return ConditionalPosterior(mean=mean, cov=cov, log_cond_lik=log_lik)
 
 
 def gp_log_marginal_likelihood(data: RegressionData, kspec: KernelSpec) -> float:
@@ -144,8 +143,6 @@ def grid_search_length_scale(data: RegressionData, kspec: KernelSpec,
     The default grid is 60 log-spaced values in [1e-3, 2]; suited to
     inputs on roughly unit-scale domains.
     """
-    from dataclasses import replace
-
     if grid is None:
         grid = np.geomspace(1e-3, 2.0, 60)
     best_l, best_lml = None, -np.inf

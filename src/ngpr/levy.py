@@ -157,10 +157,6 @@ class SubordinatorPath:
         return int(sum(len(js) for js in self.jump_sets))
 
 
-def empty_jump_set(domain: tuple[float, float]) -> JumpSet:
-    return JumpSet(np.empty(0), np.empty(0), domain)
-
-
 def poisson_epochs(rate: float, n_terms: int, rng: np.random.Generator) -> np.ndarray:
     """First ``n_terms`` epochs of a Poisson process with the given rate.
 

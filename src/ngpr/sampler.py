@@ -5,15 +5,17 @@ jumps inside the interval are deleted and redrawn from the subordinator
 prior restricted to the interval, and the move is accepted with
 probability ``min(1, exp(loglik_new - loglik_old))``.  Because proposals
 come from the prior conditional, the likelihood ratio alone is the
-correct MH weight.  Post burn-in, one conditional GP posterior at the
-test points is stored per full sweep; the stored collection forms a
-Gaussian mixture whose moments are the regression output.
+correct MH weight.  Post burn-in, each full sweep draws one conditional
+GP posterior at the test points; these form an equally weighted Gaussian
+mixture whose moments are the regression output.  Each posterior is folded
+into the running mixture moments as it is drawn; only its path is kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
 from .kernels import KernelSpec, as_point_matrix
-from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, assign_positions, simulate_jumps
+from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, simulate_jumps
 
 IDENTITY_INIT = "identity"
 COARSE_INIT = "coarse"
@@ -63,23 +65,69 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
-class MixturePosterior:
-    """Stored per-sweep conditional posteriors plus mixture aggregates and diagnostics.
+class MixtureSummary:
+    """An equally weighted Gaussian mixture of ``count`` components, by its moments.
 
-    ``acceptance_rate`` counts proposals from post burn-in sweeps only.
-    ``avg_log_cond_lik``/``std_log_cond_lik`` summarize the stored samples.
+    ``scatter`` is ``count`` times the mixture covariance: the summed
+    component covariances plus the scatter of the component means about
+    ``mean``.  One component is ``MixtureSummary(1, post.mean, post.cov)``.
     """
 
-    samples: tuple[ConditionalPosterior, ...]
+    count: int
+    mean: np.ndarray
+    scatter: np.ndarray
+
+
+def combine(a: MixtureSummary | None, b: MixtureSummary) -> MixtureSummary:
+    """Summary of the union of two mixtures; ``a=None`` is the empty mixture.
+
+    Pairwise update of Chan, Golub & LeVeque (1979): adding one component and
+    pooling two chains are the same step.  Neither input is modified.
+    """
+    if a is None:
+        return b
+    n = a.count + b.count
+    delta = b.mean - a.mean
+    scatter = a.scatter + b.scatter
+    scatter += np.outer(delta, delta * (a.count * b.count / n))
+    return MixtureSummary(n, a.mean + delta * (b.count / n), scatter)
+
+
+@dataclass(frozen=True)
+class MixturePosterior:
+    """Mixture of the conditional posteriors drawn post burn-in, one per sweep.
+
+    Only the mixture's moments are kept: component ``k`` is
+    ``posterior(data, X_test, paths[k], kspec)``, drawn at sweep
+    ``sweeps[k]`` with log conditional likelihood ``log_cond_liks[k]``.
+    ``acceptance_rate`` counts proposals from post burn-in sweeps only.
+    """
+
+    moments: MixtureSummary
     paths: tuple[SubordinatorPath, ...]
-    aggregate_mean: np.ndarray
-    aggregate_cov: np.ndarray
+    sweeps: tuple[int, ...]
+    log_cond_liks: tuple[float, ...]
     acceptance_rate: float
-    avg_log_cond_lik: float
-    std_log_cond_lik: float
     trace: tuple[TraceStep, ...]
     final_path: SubordinatorPath
     domains: tuple[tuple[float, float], ...]
+
+    @property
+    def aggregate_mean(self) -> np.ndarray:
+        return self.moments.mean
+
+    @cached_property
+    def aggregate_cov(self) -> np.ndarray:
+        return self.moments.scatter / self.moments.count
+
+    @property
+    def avg_log_cond_lik(self) -> float:
+        return float(np.mean(self.log_cond_liks))
+
+    @property
+    def std_log_cond_lik(self) -> float:
+        n = len(self.log_cond_liks)
+        return float(np.std(self.log_cond_liks, ddof=1)) if n > 1 else 0.0
 
 
 def partition_edges(domain: tuple[float, float], n_intervals: int) -> np.ndarray:
@@ -161,13 +209,8 @@ def mixture_moments(samples: Sequence[ConditionalPosterior]) -> tuple[np.ndarray
     for s in samples:
         if s.mean.shape != (m,) or s.cov.shape != (m, m):
             raise ValueError("inconsistent sample dimensions")
-    mean = np.mean([s.mean for s in samples], axis=0)
-    cov = np.zeros((m, m))
-    for s in samples:
-        d = s.mean - mean
-        cov += s.cov + np.outer(d, d)
-    cov /= len(samples)
-    return mean, cov
+    summary = reduce(combine, (MixtureSummary(1, s.mean, s.cov) for s in samples))
+    return summary.mean.copy(), summary.scatter / summary.count
 
 
 def predictive_moments(mix: MixturePosterior,
@@ -175,9 +218,9 @@ def predictive_moments(mix: MixturePosterior,
     """Mixture moments with the observation noise added to each component."""
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be non-negative, got {noise_variance}")
-    eye = noise_variance * np.eye(mix.samples[0].cov.shape[0])
-    shifted = [replace(s, cov=s.cov + eye) for s in mix.samples]
-    return mixture_moments(shifted)
+    cov = mix.aggregate_cov.copy()
+    cov[np.diag_indices_from(cov)] += noise_variance
+    return mix.aggregate_mean, cov
 
 
 LogLikFn = Callable[[RegressionData, SubordinatorPath, KernelSpec], float]
@@ -206,9 +249,7 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     if len(domains) != data.ndim:
         raise ValueError(f"{len(domains)} domains for {data.ndim} dimensions")
 
-    if log_lik_fn is None:
-        log_lik_fn = log_conditional_likelihood
-
+    log_lik_fn = log_lik_fn or log_conditional_likelihood
     if cfg.init == COARSE_INIT:
         path = init_coarse(data, X_test, kspec, lspec, cfg, rng,
                            domains=domains, log_lik_fn=log_lik_fn)
@@ -222,8 +263,10 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     edges = [partition_edges(dom, cfg.n_intervals) for dom in domains]
     burn_in_sweeps = int(cfg.burn_in_fraction * cfg.n_sweeps)
 
-    samples: list[ConditionalPosterior] = []
+    summary: MixtureSummary | None = None
     paths: list[SubordinatorPath] = []
+    sweeps: list[int] = []
+    lls: list[float] = []
     trace: list[TraceStep] = []
     accepted = total = 0
 
@@ -251,21 +294,20 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
                 trace.append(TraceStep(sweep, current_ll, bool(took)))
         if post_burn_in:
             try:
-                samples.append(posterior(data, X_test, path, kspec, path_ref=sweep))
+                post = posterior(data, X_test, path, kspec)
             except NumericalError as exc:
                 raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
+            summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
             paths.append(path)
+            sweeps.append(sweep)
+            lls.append(post.log_cond_lik)
 
-    lls = np.array([s.log_cond_lik for s in samples])
-    agg_mean, agg_cov = mixture_moments(samples)
     return MixturePosterior(
-        samples=tuple(samples),
+        moments=summary,
         paths=tuple(paths),
-        aggregate_mean=agg_mean,
-        aggregate_cov=agg_cov,
+        sweeps=tuple(sweeps),
+        log_cond_liks=tuple(lls),
         acceptance_rate=accepted / total if total else 1.0,
-        avg_log_cond_lik=float(lls.mean()),
-        std_log_cond_lik=float(lls.std(ddof=1)) if lls.size > 1 else 0.0,
         trace=tuple(trace),
         final_path=path,
         domains=domains,
@@ -293,21 +335,12 @@ def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:
     """Pool post burn-in samples of independent chains into one mixture."""
     if len(mixes) < 1:
         raise ValueError("need at least one chain")
-    if len(mixes) == 1:
-        return mixes[0]
-    samples = tuple(s for mix in mixes for s in mix.samples)
-    paths = tuple(p for mix in mixes for p in mix.paths)
-    agg_mean, agg_cov = mixture_moments(samples)
-    lls = np.array([s.log_cond_lik for s in samples])
-    rates = [m.acceptance_rate for m in mixes]
     return MixturePosterior(
-        samples=samples,
-        paths=paths,
-        aggregate_mean=agg_mean,
-        aggregate_cov=agg_cov,
-        acceptance_rate=float(np.mean(rates)),
-        avg_log_cond_lik=float(lls.mean()),
-        std_log_cond_lik=float(lls.std(ddof=1)) if lls.size > 1 else 0.0,
+        moments=reduce(combine, (mix.moments for mix in mixes)),
+        paths=tuple(p for mix in mixes for p in mix.paths),
+        sweeps=tuple(s for mix in mixes for s in mix.sweeps),
+        log_cond_liks=tuple(ll for mix in mixes for ll in mix.log_cond_liks),
+        acceptance_rate=float(np.mean([m.acceptance_rate for m in mixes])),
         trace=tuple(step for mix in mixes for step in mix.trace),
         final_path=mixes[-1].final_path,
         domains=mixes[0].domains,

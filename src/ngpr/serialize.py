@@ -8,14 +8,12 @@ pair per line, ``#`` comments, values kept verbatim as strings.
 from __future__ import annotations
 
 import csv
-import io
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datagen import GenSpec, SyntheticDataset
-from .kernels import KernelSpec
-from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath
+from .datagen import GenSpec
+from .levy import JumpSet, SubordinatorPath
 
 
 def _fmt(value: float) -> str:
@@ -65,6 +63,19 @@ def write_jumps_csv(fp, path: SubordinatorPath) -> None:
         writer.writerow([dim, _fmt(pos), _fmt(mag)])
 
 
+def _path_from_pairs(per_dim: dict[int, list[tuple[float, float]]],
+                     domains: Sequence[tuple[float, float]]) -> SubordinatorPath:
+    """Path from per-dimension (position, magnitude) lists."""
+    jump_sets = []
+    for k, dom in enumerate(domains):
+        if per_dim[k]:
+            pos, mag = map(np.asarray, zip(*per_dim[k]))
+        else:
+            pos, mag = np.empty(0), np.empty(0)
+        jump_sets.append(JumpSet(pos, mag, dom))
+    return SubordinatorPath(jump_sets)
+
+
 def read_jumps_csv(fp, domains: Sequence[tuple[float, float]]) -> SubordinatorPath:
     reader = csv.reader(fp)
     header = next(reader)
@@ -78,14 +89,7 @@ def read_jumps_csv(fp, domains: Sequence[tuple[float, float]]) -> SubordinatorPa
         if dim not in per_dim:
             raise ValueError(f"jump row references dimension {dim}, have {len(domains)}")
         per_dim[dim].append((float(row[1]), float(row[2])))
-    jump_sets = []
-    for k, dom in enumerate(domains):
-        if per_dim[k]:
-            pos, mag = map(np.asarray, zip(*per_dim[k]))
-        else:
-            pos, mag = np.empty(0), np.empty(0)
-        jump_sets.append(JumpSet(pos, mag, dom))
-    return SubordinatorPath(jump_sets)
+    return _path_from_pairs(per_dim, domains)
 
 
 def write_sampled_paths_csv(fp, paths: Iterable[SubordinatorPath],
@@ -111,18 +115,7 @@ def read_sampled_paths_csv(fp, domains: Sequence[tuple[float, float]]
             continue
         dim, pos, mag, sweep = int(row[0]), float(row[1]), float(row[2]), int(row[3])
         grouped.setdefault(sweep, {k: [] for k in range(len(domains))})[dim].append((pos, mag))
-    out = []
-    for sweep in sorted(grouped):
-        jump_sets = []
-        for k, dom in enumerate(domains):
-            pairs = grouped[sweep][k]
-            if pairs:
-                pos, mag = map(np.asarray, zip(*pairs))
-            else:
-                pos, mag = np.empty(0), np.empty(0)
-            jump_sets.append(JumpSet(pos, mag, dom))
-        out.append((sweep, SubordinatorPath(jump_sets)))
-    return out
+    return [(sweep, _path_from_pairs(grouped[sweep], domains)) for sweep in sorted(grouped)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,35 +184,6 @@ def genspec_to_kv(spec: GenSpec) -> dict[str, str]:
     return kv
 
 
-def genspec_from_kv(kv: dict[str, str]) -> GenSpec:
-    kernel = KernelSpec(
-        family=kv["kernel.family"],
-        length_scale=float(kv["kernel.length_scale"]),
-        signal_variance=float(kv["kernel.signal_variance"]),
-        jitter=float(kv["kernel.jitter"]),
-    )
-    if kv["levy.family"] == "identity":
-        levy = None
-    else:
-        levy = LevyMeasureSpec(
-            family=kv["levy.family"],
-            C=float(kv["levy.c"]),
-            alpha=float(kv.get("levy.alpha", "0.5")),
-            beta=float(kv.get("levy.beta", "1.0")),
-            n_terms=int(kv["levy.n_terms"]),
-        )
-    return GenSpec(
-        domains=parse_domains(kv["gen.domain"]),
-        n_points=int(kv["gen.n_points"]),
-        n_observed=int(kv["gen.n_observed"]),
-        kernel=kernel,
-        levy=levy,
-        noise_std=float(kv["gen.noise_std"]),
-        seed=int(kv["gen.seed"]),
-        grid=kv["gen.grid"],
-    )
-
-
 def parse_domains(text: str) -> tuple[tuple[float, float], ...]:
     """Parse ``lo,hi`` pairs separated by ``;`` into per-dimension intervals."""
     domains = []
@@ -272,9 +236,3 @@ def write_trace_csv(fp, trace) -> None:
     writer.writerow(["sweep", "log_cond_lik", "accepted"])
     for step in trace:
         writer.writerow([step.sweep, _fmt(step.log_cond_lik), int(step.accepted)])
-
-
-def dataset_to_string(data: SyntheticDataset) -> str:
-    buf = io.StringIO()
-    write_dataset_csv(buf, data.X, data.y, data.observed)
-    return buf.getvalue()

@@ -182,6 +182,17 @@ def test_predict_rejects_out_of_domain_points(workdir, capsys):
     assert "rows [1]" in capsys.readouterr().err
 
 
+def test_predict_rejects_malformed_set(workdir, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(fit_dir), "--inputs",
+                   str(data_dir / "dataset.csv"), "--out", str(out_csv), "--set", "bogus"])
+    assert rc == 2
+    assert "--set expects key=value" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
                   acceptance_probability, generate, init_coarse, init_identity,
                   log_conditional_likelihood, mixture_moments, partition_edges,
-                  pool_chains, predictive_moments, propose, run_mh_gibbs)
+                  pool_chains, posterior, predictive_moments, propose, run_mh_gibbs)
 from ngpr.gp import ConditionalPosterior
 
 import oracles
@@ -134,19 +134,33 @@ def test_mixture_two_symmetric_samples():
     np.testing.assert_allclose(cov, K + np.outer(a, a))
 
 
-def test_mixture_matches_brute_force_oracle():
-    rng = np.random.default_rng(5)
+def _random_components(rng, n, m, offset=0.0, spread=1.0, cov_scale=1.0):
     means, covs = [], []
-    for _ in range(3):
-        m = rng.normal(size=4)
-        A = rng.normal(size=(4, 4))
-        means.append(m)
-        covs.append(A @ A.T)
-    mean, cov = mixture_moments([_sample(m, c) for m, c in zip(means, covs)])
-    mean_o, cov_o = oracles.brute_force_mixture([m.tolist() for m in means],
-                                                [c.tolist() for c in covs])
-    np.testing.assert_allclose(mean, mean_o, atol=1e-12)
-    np.testing.assert_allclose(cov, cov_o, atol=1e-12)
+    for _ in range(n):
+        means.append(offset + spread * rng.normal(size=m))
+        A = rng.normal(size=(m, m))
+        covs.append(cov_scale * (A @ A.T))
+    return means, covs
+
+
+def test_mixture_matches_brute_force_oracle():
+    cases = [
+        (_random_components(np.random.default_rng(5), 3, 4), 1e-12, 0.0),
+        # means sharing a 1e4 offset, covariances ~1e-4: raw sums of m and
+        # m m^T lose the covariance to cancellation, the pairwise update must not
+        (_random_components(np.random.default_rng(6), 12, 5, offset=1e4, spread=1e-2,
+                            cov_scale=1e-4), 0.0, 1e-9),
+    ]
+    for (means, covs), atol, rtol in cases:
+        samples = [_sample(m, c) for m, c in zip(means, covs)]
+        mean, cov = mixture_moments(samples)
+        mean_o, cov_o = oracles.brute_force_mixture([m.tolist() for m in means],
+                                                    [c.tolist() for c in covs])
+        np.testing.assert_allclose(mean, mean_o, atol=atol, rtol=rtol)
+        np.testing.assert_allclose(cov, cov_o, atol=atol + rtol * np.abs(cov_o).max())
+        for s, m, c in zip(samples, means, covs):  # inputs are left as they were
+            np.testing.assert_array_equal(s.mean, m)
+            np.testing.assert_array_equal(s.cov, c)
 
 
 def test_mixture_rejects_bad_inputs():
@@ -218,22 +232,30 @@ def test_rejected_proposals_leave_state_untouched():
     assert all(step.log_cond_lik == 0.0 for step in mix.trace)
 
 
+def _recomputed_moments(data, paths):
+    """Two-pass mixture moments of the components recomputed from stored paths."""
+    posts = [posterior(data, data.X, p, KSPEC) for p in paths]
+    mean = np.mean([q.mean for q in posts], axis=0)
+    cov = np.mean([q.cov + np.outer(q.mean - mean, q.mean - mean) for q in posts], axis=0)
+    return mean, cov, [q.log_cond_lik for q in posts]
+
+
 def test_stored_aggregates_recomputable_from_samples():
-    _, mix = _run(seed=7)
-    mean, cov = mixture_moments(mix.samples)
+    data, mix = _run(seed=7)
+    mean, cov, lls = _recomputed_moments(data, mix.paths)
     np.testing.assert_allclose(mean, mix.aggregate_mean, atol=1e-12)
     np.testing.assert_allclose(cov, mix.aggregate_cov, atol=1e-12)
-    lls = [s.log_cond_lik for s in mix.samples]
+    assert lls == list(mix.log_cond_liks)
     assert abs(np.mean(lls) - mix.avg_log_cond_lik) < 1e-12
+    assert abs(np.std(lls, ddof=1) - mix.std_log_cond_lik) < 1e-12
     assert 0.0 <= mix.acceptance_rate <= 1.0
     assert np.isfinite(mix.avg_log_cond_lik)
 
 
 def test_one_sample_stored_per_post_burn_in_sweep():
     _, mix = _run(seed=9, n_sweeps=10, burn_in_fraction=0.2)
-    assert len(mix.samples) == 8
-    assert [s.path_ref for s in mix.samples] == list(range(2, 10))
-    assert len(mix.paths) == len(mix.samples)
+    assert mix.sweeps == tuple(range(2, 10))
+    assert mix.moments.count == len(mix.paths) == len(mix.log_cond_liks) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +277,8 @@ def test_predictive_moments_shift_diagonal_only():
 def test_predictive_single_sample():
     from types import SimpleNamespace
 
-    s = _sample([0.5], [[2.0]])
-    mean, cov = predictive_moments(SimpleNamespace(samples=(s,)), 0.25)
+    mix = SimpleNamespace(aggregate_mean=np.array([0.5]), aggregate_cov=np.array([[2.0]]))
+    mean, cov = predictive_moments(mix, 0.25)
     np.testing.assert_allclose(mean, [0.5])
     np.testing.assert_allclose(cov, [[2.25]])
 
@@ -321,7 +343,7 @@ def test_coarse_vs_identity_init_logged_comparison():
                             coarse_sweeps=5, init=init, burn_in_fraction=0.0)
         mix = run_mh_gibbs(data, ds.X, kspec, lspec, cfg, np.random.default_rng(3),
                            domains=gspec.domains)
-        lls = [s.log_cond_lik for s in mix.samples]
+        lls = mix.log_cond_liks
         band = mix.avg_log_cond_lik - mix.std_log_cond_lik
         reached = next((i for i, v in enumerate(lls) if v >= band), len(lls))
         results[init] = (reached, mix.avg_log_cond_lik)
@@ -334,11 +356,13 @@ def test_coarse_vs_identity_init_logged_comparison():
 # ---------------------------------------------------------------------------
 
 def test_pool_chains_combines_samples():
-    _, mix1 = _run(seed=21)
+    data, mix1 = _run(seed=21)
     _, mix2 = _run(seed=22)
     pooled = pool_chains([mix1, mix2])
-    assert len(pooled.samples) == len(mix1.samples) + len(mix2.samples)
-    mean, cov = mixture_moments(pooled.samples)
+    assert pooled.sweeps == mix1.sweeps + mix2.sweeps
+    assert pooled.log_cond_liks == mix1.log_cond_liks + mix2.log_cond_liks
+    assert pooled.moments.count == len(pooled.paths) == len(mix1.paths) + len(mix2.paths)
+    mean, cov, _ = _recomputed_moments(data, pooled.paths)
     np.testing.assert_allclose(pooled.aggregate_mean, mean, atol=1e-12)
     np.testing.assert_allclose(pooled.aggregate_cov, cov, atol=1e-12)
 

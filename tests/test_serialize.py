@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ngpr import GenSpec, KernelSpec, LevyMeasureSpec, normalize_scale, simulate_path
-from ngpr import serialize
+from ngpr import cli, serialize
 from ngpr.sampler import TraceStep, init_identity
 
 
@@ -116,11 +116,11 @@ def test_genspec_kv_roundtrip():
                              C=normalize_scale(0.8, 5.0, "tempered_stable"),
                              alpha=0.8, beta=5.0, n_terms=1000),
         noise_std=0.1, seed=9)
-    back = serialize.genspec_from_kv(serialize.genspec_to_kv(spec))
+    back = cli.genspec_from_config(serialize.genspec_to_kv(spec))
     assert back == spec
     identity = GenSpec(domains=((0.0, 1.0),), n_points=10, n_observed=5,
                        kernel=KernelSpec(), levy=None, noise_std=0.0, seed=1)
-    assert serialize.genspec_from_kv(serialize.genspec_to_kv(identity)) == identity
+    assert cli.genspec_from_config(serialize.genspec_to_kv(identity)) == identity
 
 
 def test_domain_string_roundtrip():
