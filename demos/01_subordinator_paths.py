@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ngpr import (LevyMeasureSpec, normalize_scale, simulate_gamma_jumps,
-                  simulate_path, simulate_ts_jumps)
+from ngpr import LevyMeasureSpec, normalize_scale, simulate_jumps, simulate_path
 from ngpr.serialize import write_jumps_csv
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(".")
@@ -33,7 +32,7 @@ print("  W on a coarse grid:", np.round(path.values(grid), 3))
 # Monte Carlo check of the unit-mean normalization.  With alpha this close
 # to 1 the 1000-term truncation keeps a visible share of the tiny jumps out,
 # so the realized mean sits a little below 1.
-w = np.array([simulate_ts_jumps(ts, 1.0, rng).sum() for _ in range(2000)])
+w = np.array([simulate_jumps(ts, 1.0, rng).sum() for _ in range(2000)])
 print(f"  mean of W(1) over 2000 replicates: {w.mean():.4f} (untruncated target 1.0)")
 
 with open(out_dir / "demo_ts_path.csv", "w", newline="") as fp:
@@ -41,7 +40,7 @@ with open(out_dir / "demo_ts_path.csv", "w", newline="") as fp:
 
 # --- gamma subordinator ------------------------------------------------------
 gamma_spec = LevyMeasureSpec("gamma", C=2.0, beta=4.0, n_terms=1000)
-wg = np.array([simulate_gamma_jumps(gamma_spec, 1.0, rng).sum() for _ in range(2000)])
+wg = np.array([simulate_jumps(gamma_spec, 1.0, rng).sum() for _ in range(2000)])
 print(f"gamma: C=2, beta=4 -> W(1) has a Gamma(2, rate 4) marginal; "
       f"sample mean {wg.mean():.4f} (exact {gamma_spec.C / gamma_spec.beta})")
 

@@ -19,7 +19,7 @@ gamma (``C x^{-1} e^{-beta x}``) and the raw stable process
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -68,31 +68,38 @@ class JumpSet:
     """Finite point set (positions, magnitudes) of a subordinator on an interval.
 
     Magnitudes are strictly positive and positions lie inside the closed
-    domain.  Neither array is required to be sorted; they are kept in the
-    order produced by simulation or by Gibbs edits.
+    domain.  Construction stable-sorts the jumps by position (ties keep their
+    input order), so ``positions`` is non-decreasing with ``magnitudes``
+    aligned.  The read-only ``cumulative`` holds the prefix sums of the
+    sorted magnitudes, starting at 0, so W(x) is ``cumulative[i]`` for
+    ``i = searchsorted(positions, x, side="right")``.
     """
 
     positions: np.ndarray
     magnitudes: np.ndarray
     domain: tuple[float, float]
+    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        positions = np.atleast_1d(np.array(self.positions, dtype=float))
-        magnitudes = np.atleast_1d(np.array(self.magnitudes, dtype=float))
+        positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
+        magnitudes = np.atleast_1d(np.asarray(self.magnitudes, dtype=float))
         if positions.shape != magnitudes.shape or positions.ndim != 1:
             raise ValueError("positions and magnitudes must be 1-d arrays of equal length")
         lo, hi = float(self.domain[0]), float(self.domain[1])
         if not lo < hi:
             raise ValueError(f"degenerate domain ({lo}, {hi})")
+        order = np.argsort(positions, kind="stable")
+        positions, magnitudes = positions[order], magnitudes[order]
         if magnitudes.size:
             if not np.all(magnitudes > 0):
                 raise ValueError("all jump magnitudes must be strictly positive")
-            if positions.min() < lo or positions.max() > hi:
+            if not lo <= positions[0] <= positions[-1] <= hi:  # NaN sorts last and fails
                 raise ValueError("jump positions must lie within the domain")
-        positions.flags.writeable = False
-        magnitudes.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "magnitudes", magnitudes)
+        cumulative = np.concatenate(([0.0], np.cumsum(magnitudes)))
+        for name, arr in (("positions", positions), ("magnitudes", magnitudes),
+                          ("cumulative", cumulative)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "domain", (lo, hi))
 
     def __len__(self):
@@ -104,24 +111,15 @@ class SubordinatorPath:
 
     Each input dimension carries an independent jump set; evaluation of
     dimension ``k`` at ``x`` sums the magnitudes of jumps with position
-    ``<= x``.  Construction caches sorted positions and cumulative sums
-    so evaluation is a binary search.  Instances are immutable.
+    ``<= x``.  Every ``JumpSet`` is sorted with its prefix sums, so
+    evaluation is a binary search and construction copies nothing.
+    Instances are immutable.
     """
 
     def __init__(self, jump_sets: Sequence[JumpSet]):
         if len(jump_sets) < 1:
             raise ValueError("a path needs at least one dimension")
         self.jump_sets = tuple(jump_sets)
-        self._sorted_pos = []
-        self._cum_mags = []
-        for js in self.jump_sets:
-            order = np.argsort(js.positions, kind="stable")
-            pos = js.positions[order]
-            cum = np.concatenate(([0.0], np.cumsum(js.magnitudes[order])))
-            pos.flags.writeable = False
-            cum.flags.writeable = False
-            self._sorted_pos.append(pos)
-            self._cum_mags.append(cum)
 
     @property
     def ndim(self) -> int:
@@ -137,21 +135,21 @@ class SubordinatorPath:
         Points outside the closed domain raise ``ValueError``.
         """
         x = np.asarray(x, dtype=float)
-        lo, hi = self.jump_sets[dim].domain
+        js = self.jump_sets[dim]
+        lo, hi = js.domain
         if x.size and (x.min() < lo or x.max() > hi):
             bad = x[(x < lo) | (x > hi)]
             raise ValueError(
                 f"points outside domain [{lo}, {hi}] in dimension {dim}: {bad[:5].tolist()}"
             )
-        idx = np.searchsorted(self._sorted_pos[dim], x, side="right")
-        return self._cum_mags[dim][idx]
+        return js.cumulative[np.searchsorted(js.positions, x, side="right")]
 
     def value(self, x: float, dim: int = 0) -> float:
         return float(self.values(np.asarray([x]), dim)[0])
 
     def total(self, dim: int = 0) -> float:
         """Sum of all jump magnitudes in one dimension, i.e. W at the upper bound."""
-        return float(self._cum_mags[dim][-1])
+        return float(self.jump_sets[dim].cumulative[-1])
 
     def n_jumps(self) -> int:
         return int(sum(len(js) for js in self.jump_sets))
@@ -170,97 +168,42 @@ def poisson_epochs(rate: float, n_terms: int, rng: np.random.Generator) -> np.nd
     return np.cumsum(rng.exponential(scale=1.0 / rate, size=n_terms))
 
 
-def _stable_candidates(spec: LevyMeasureSpec, epochs: np.ndarray) -> np.ndarray:
-    # Inverse tail mass of the stable density C x^{-1-alpha}: decreasing in the epoch.
-    with np.errstate(over="ignore", under="ignore"):
-        return (spec.alpha * epochs / spec.C) ** (-1.0 / spec.alpha)
-
-
-def simulate_ts_jumps(spec: LevyMeasureSpec, region_measure: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Jump magnitudes of a tempered stable subordinator on a region.
-
-    Candidates come from the dominating stable process (epochs at rate
-    ``region_measure`` passed through the inverse stable tail mass) and are
-    kept with probability ``exp(-beta * x)``.  The accepted magnitudes
-    retain the decreasing candidate order.  Candidates that underflow to
-    zero in float64 are dropped.
-    """
-    if spec.family != TEMPERED_STABLE:
-        raise ValueError(f"expected a tempered stable spec, got {spec.family!r}")
-    epochs = poisson_epochs(region_measure, spec.n_terms, rng)
-    x = _stable_candidates(spec, epochs)
-    u = rng.random(spec.n_terms)
-    with np.errstate(over="ignore", under="ignore"):
-        keep = u < np.exp(-spec.beta * x)
-    x = x[keep]
-    return x[x > 0]
-
-
-def simulate_stable_jumps(spec: LevyMeasureSpec, region_measure: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Jump magnitudes of a raw stable subordinator (no tempering).
-
-    Consumes the same random variates as the tempered stable sampler so
-    that ``beta = 0`` tempering reproduces this output bit for bit.
-    """
-    if spec.family != STABLE:
-        raise ValueError(f"expected a stable spec, got {spec.family!r}")
-    epochs = poisson_epochs(region_measure, spec.n_terms, rng)
-    x = _stable_candidates(spec, epochs)
-    rng.random(spec.n_terms)  # parallel draw to the tempering uniforms
-    return x[x > 0]
-
-
-def simulate_gamma_jumps(spec: LevyMeasureSpec, region_measure: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Jump magnitudes of a gamma subordinator on a region.
-
-    Uses dominating-process thinning: candidates
-    ``x_i = 1 / (beta * (exp(epoch_i / C) - 1))`` are accepted with
-    probability ``(1 + beta x) exp(-beta x)``.  Large epochs map to
-    candidates that underflow to zero; those are dropped.
-    """
-    if spec.family != GAMMA:
-        raise ValueError(f"expected a gamma spec, got {spec.family!r}")
-    epochs = poisson_epochs(region_measure, spec.n_terms, rng)
-    with np.errstate(over="ignore", under="ignore"):
-        x = 1.0 / (spec.beta * np.expm1(epochs / spec.C))
-        accept_prob = (1.0 + spec.beta * x) * np.exp(-spec.beta * x)
-    u = rng.random(spec.n_terms)
-    x = x[u < accept_prob]
-    return x[x > 0]
-
-
 def simulate_jumps(spec: LevyMeasureSpec, region_measure: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """Dispatch to the family-specific jump sampler."""
-    if spec.family == TEMPERED_STABLE:
-        return simulate_ts_jumps(spec, region_measure, rng)
-    if spec.family == GAMMA:
-        return simulate_gamma_jumps(spec, region_measure, rng)
-    return simulate_stable_jumps(spec, region_measure, rng)
+    """Jump magnitudes on a region of the given measure, in decreasing candidate order.
+
+    Poisson epochs at rate ``region_measure`` map to candidates, each kept
+    with its family's probability.  Tempered stable: stable candidates
+    ``(alpha * epoch / C)^(-1/alpha)`` kept with ``exp(-beta x)``; stable:
+    the same candidates, all kept; gamma: ``1 / (beta (exp(epoch / C) - 1))``
+    kept with ``(1 + beta x) exp(-beta x)``.  Every family draws ``n_terms``
+    uniforms, so ``beta = 0`` tempering reproduces the stable output bit for
+    bit.  Candidates that underflow to zero in float64 are dropped.
+    """
+    epochs = poisson_epochs(region_measure, spec.n_terms, rng)
+    with np.errstate(over="ignore", under="ignore"):
+        if spec.family == GAMMA:
+            x = 1.0 / (spec.beta * np.expm1(epochs / spec.C))
+            keep_prob = (1.0 + spec.beta * x) * np.exp(-spec.beta * x)
+        else:
+            x = (spec.alpha * epochs / spec.C) ** (-1.0 / spec.alpha)
+            keep_prob = np.exp(-spec.beta * x) if spec.family == TEMPERED_STABLE else 1.0
+    x = x[rng.random(spec.n_terms) < keep_prob]
+    return x[x > 0]
 
 
 def assign_positions(magnitudes: np.ndarray, domain: tuple[float, float],
                      rng: np.random.Generator) -> JumpSet:
     """Pair each magnitude with an independent uniform position on the open domain."""
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise ValueError(f"degenerate domain ({lo}, {hi})")
     magnitudes = np.asarray(magnitudes, dtype=float)
-    positions = rng.uniform(lo, hi, size=magnitudes.size)
-    return JumpSet(positions, magnitudes, (lo, hi))
+    return JumpSet(rng.uniform(domain[0], domain[1], size=magnitudes.size), magnitudes, domain)
 
 
 def simulate_path(spec: LevyMeasureSpec, domains: Sequence[tuple[float, float]],
                   rng: np.random.Generator) -> SubordinatorPath:
     """Independent subordinator per dimension, epochs at rate = interval length."""
-    jump_sets = []
-    for lo, hi in domains:
-        mags = simulate_jumps(spec, hi - lo, rng)
-        jump_sets.append(assign_positions(mags, (lo, hi), rng))
-    return SubordinatorPath(jump_sets)
+    return SubordinatorPath([assign_positions(simulate_jumps(spec, hi - lo, rng), (lo, hi), rng)
+                             for lo, hi in domains])
 
 
 def normalize_scale(alpha: float, beta: float, family: str) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
 from .kernels import KernelSpec, as_point_matrix
-from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, simulate_jumps
+from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, assign_positions, simulate_jumps
 
 IDENTITY_INIT = "identity"
 COARSE_INIT = "coarse"
@@ -164,28 +164,23 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
     Jumps with position in ``[lo, hi)`` are removed (``[lo, hi]`` when the
     interval ends at the domain boundary, so every jump belongs to exactly
     one interval of a partition) and replaced by fresh jumps simulated at
-    rate ``hi - lo`` with uniform positions.  Everything else is shared
-    with the current path unchanged.
+    rate ``hi - lo`` with uniform positions.  The jump set is sorted, so the
+    removed jumps are one slice, found by binary search; the result joins
+    the jumps left of it, the fresh jumps and the jumps right of it, and
+    stays sorted.  Every other dimension keeps its ``JumpSet`` object.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
     js = current.jump_sets[dim]
-    closed_right = hi >= js.domain[1]
-    if closed_right:
-        keep = (js.positions < lo) | (js.positions > hi)
-    else:
-        keep = (js.positions < lo) | (js.positions >= hi)
-    fresh = simulate_jumps(lspec, hi - lo, rng)
-    fresh_positions = rng.uniform(lo, hi, size=fresh.size)
-    new_jumps = JumpSet(
-        np.concatenate((js.positions[keep], fresh_positions)),
-        np.concatenate((js.magnitudes[keep], fresh)),
-        js.domain,
-    )
-    jump_sets = list(current.jump_sets)
-    jump_sets[dim] = new_jumps
-    return SubordinatorPath(jump_sets)
+    start = np.searchsorted(js.positions, lo, side="left")
+    stop = np.searchsorted(js.positions, hi, side="right" if hi >= js.domain[1] else "left")
+    fresh = assign_positions(simulate_jumps(lspec, hi - lo, rng), (lo, hi), rng)
+    spliced = JumpSet(
+        np.concatenate((js.positions[:start], fresh.positions, js.positions[stop:])),
+        np.concatenate((js.magnitudes[:start], fresh.magnitudes, js.magnitudes[stop:])),
+        js.domain)
+    return SubordinatorPath(current.jump_sets[:dim] + (spliced,) + current.jump_sets[dim + 1:])
 
 
 def acceptance_probability(log_lik_new: float, log_lik_old: float) -> float:
@@ -226,18 +221,9 @@ def predictive_moments(mix: MixturePosterior,
 LogLikFn = Callable[[RegressionData, SubordinatorPath, KernelSpec], float]
 
 
-def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
-                 lspec: LevyMeasureSpec, cfg: SamplerConfig, rng: np.random.Generator,
-                 domains: Sequence[tuple[float, float]] | None = None,
-                 log_lik_fn: LogLikFn | None = None) -> MixturePosterior:
-    """Run one MH-within-Gibbs chain and aggregate per-sweep posteriors.
-
-    Each sweep cycles dimensions in index order and, within a dimension,
-    the partition intervals left to right (or in a fresh random order per
-    sweep when configured).  ``domains`` defaults to the per-dimension
-    hull of the training and test inputs.  ``log_lik_fn`` replaces the GP
-    log conditional likelihood (used by prior-recovery checks).
-    """
+def _resolve_domains(data: RegressionData, X_test: np.ndarray,
+                     domains: Sequence[tuple[float, float]] | None) -> tuple[np.ndarray, tuple]:
+    """``X_test`` as a point matrix and the domains, by default the hull of all inputs."""
     X_test = as_point_matrix(X_test)
     if X_test.shape[1] != data.ndim:
         raise ValueError(f"X_test has {X_test.shape[1]} columns, data has {data.ndim}")
@@ -248,30 +234,24 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     domains = tuple((float(lo), float(hi)) for lo, hi in domains)
     if len(domains) != data.ndim:
         raise ValueError(f"{len(domains)} domains for {data.ndim} dimensions")
+    return X_test, domains
 
-    log_lik_fn = log_lik_fn or log_conditional_likelihood
-    if cfg.init == COARSE_INIT:
-        path = init_coarse(data, X_test, kspec, lspec, cfg, rng,
-                           domains=domains, log_lik_fn=log_lik_fn)
-    else:
-        path = init_identity(domains, cfg.n_intervals)
+
+def _gibbs_sweeps(data: RegressionData, kspec: KernelSpec, lspec: LevyMeasureSpec,
+                  cfg: SamplerConfig, rng: np.random.Generator, domains: tuple,
+                  log_lik_fn: LogLikFn, path: SubordinatorPath):
+    """Run ``cfg.n_sweeps`` Gibbs sweeps from ``path``; yield (sweep, path, steps) after each.
+
+    A sweep cycles dimensions in index order and, within a dimension, the partition
+    intervals left to right (or in a fresh random order per sweep when configured).
+    """
     try:
         current_ll = log_lik_fn(data, path, kspec)
     except NumericalError as exc:
         raise NumericalError(f"chain initialization: {exc}") from exc
-
     edges = [partition_edges(dom, cfg.n_intervals) for dom in domains]
-    burn_in_sweeps = int(cfg.burn_in_fraction * cfg.n_sweeps)
-
-    summary: MixtureSummary | None = None
-    paths: list[SubordinatorPath] = []
-    sweeps: list[int] = []
-    lls: list[float] = []
-    trace: list[TraceStep] = []
-    accepted = total = 0
-
     for sweep in range(cfg.n_sweeps):
-        post_burn_in = sweep >= burn_in_sweeps
+        steps = []
         for dim in range(data.ndim):
             order = (rng.permutation(cfg.n_intervals) if cfg.randomize_interval_order
                      else range(cfg.n_intervals))
@@ -288,26 +268,56 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
                 took = rng.random() < prob
                 if took:
                     path, current_ll = candidate, new_ll
-                if post_burn_in:
-                    accepted += took
-                    total += 1
-                trace.append(TraceStep(sweep, current_ll, bool(took)))
-        if post_burn_in:
-            try:
-                post = posterior(data, X_test, path, kspec)
-            except NumericalError as exc:
-                raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
-            summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
-            paths.append(path)
-            sweeps.append(sweep)
-            lls.append(post.log_cond_lik)
+                steps.append(TraceStep(sweep, current_ll, bool(took)))
+        yield sweep, path, steps
 
+
+def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
+                 lspec: LevyMeasureSpec, cfg: SamplerConfig, rng: np.random.Generator,
+                 domains: Sequence[tuple[float, float]] | None = None,
+                 log_lik_fn: LogLikFn | None = None) -> MixturePosterior:
+    """Run one MH-within-Gibbs chain and aggregate per-sweep posteriors.
+
+    ``domains`` defaults to the per-dimension hull of the training and test
+    inputs.  ``log_lik_fn`` replaces the GP log conditional likelihood (used
+    by prior-recovery checks).
+    """
+    X_test, domains = _resolve_domains(data, X_test, domains)
+    log_lik_fn = log_lik_fn or log_conditional_likelihood
+    if cfg.init == COARSE_INIT:
+        path = init_coarse(data, X_test, kspec, lspec, cfg, rng,
+                           domains=domains, log_lik_fn=log_lik_fn)
+    else:
+        path = init_identity(domains, cfg.n_intervals)
+    burn_in_sweeps = int(cfg.burn_in_fraction * cfg.n_sweeps)
+
+    summary: MixtureSummary | None = None
+    paths: list[SubordinatorPath] = []
+    sweeps: list[int] = []
+    lls: list[float] = []
+    trace: list[TraceStep] = []
+
+    for sweep, path, steps in _gibbs_sweeps(data, kspec, lspec, cfg, rng, domains,
+                                                log_lik_fn, path):
+        trace.extend(steps)
+        if sweep < burn_in_sweeps:
+            continue
+        try:
+            post = posterior(data, X_test, path, kspec)
+        except NumericalError as exc:
+            raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
+        summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
+        paths.append(path)
+        sweeps.append(sweep)
+        lls.append(post.log_cond_lik)
+
+    kept = [step.accepted for step in trace if step.sweep >= burn_in_sweeps]
     return MixturePosterior(
         moments=summary,
         paths=tuple(paths),
         sweeps=tuple(sweeps),
         log_cond_liks=tuple(lls),
-        acceptance_rate=accepted / total if total else 1.0,
+        acceptance_rate=sum(kept) / len(kept) if kept else 1.0,
         trace=tuple(trace),
         final_path=path,
         domains=domains,
@@ -318,17 +328,22 @@ def init_coarse(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
                 lspec: LevyMeasureSpec, cfg: SamplerConfig, rng: np.random.Generator,
                 domains: Sequence[tuple[float, float]] | None = None,
                 log_lik_fn: LogLikFn | None = None) -> SubordinatorPath:
-    """Short run on a coarse interval grid; its last path seeds the main chain."""
+    """Short chain on a coarse interval grid; its last path seeds the main chain.
+
+    The chain computes no posterior; ``X_test`` only sets the default domains.
+    """
     if cfg.coarse_intervals >= cfg.n_intervals:
         raise ValueError(
             f"coarse_intervals ({cfg.coarse_intervals}) must be smaller than "
             f"n_intervals ({cfg.n_intervals})"
         )
-    coarse_cfg = replace(cfg, n_intervals=cfg.coarse_intervals, n_sweeps=cfg.coarse_sweeps,
-                         init=IDENTITY_INIT, burn_in_fraction=0.0)
-    mix = run_mh_gibbs(data, X_test, kspec, lspec, coarse_cfg, rng,
-                       domains=domains, log_lik_fn=log_lik_fn)
-    return mix.final_path
+    _, domains = _resolve_domains(data, X_test, domains)
+    coarse_cfg = replace(cfg, n_intervals=cfg.coarse_intervals, n_sweeps=cfg.coarse_sweeps)
+    path = init_identity(domains, cfg.coarse_intervals)
+    for _, path, _ in _gibbs_sweeps(data, kspec, lspec, coarse_cfg, rng, domains,
+                                       log_lik_fn or log_conditional_likelihood, path):
+        pass
+    return path
 
 
 def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:

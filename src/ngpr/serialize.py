@@ -48,12 +48,9 @@ def format_kv_text(entries: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 def path_rows(path: SubordinatorPath) -> list[tuple[int, float, float]]:
-    """Rows (dim, position, magnitude) sorted by dimension then position."""
-    rows = []
-    for dim, js in enumerate(path.jump_sets):
-        order = np.lexsort((js.magnitudes, js.positions))
-        rows.extend((dim, js.positions[i], js.magnitudes[i]) for i in order)
-    return rows
+    """Rows (dim, position, magnitude) by dimension, then in each jump set's position order."""
+    return [(dim, pos, mag) for dim, js in enumerate(path.jump_sets)
+            for pos, mag in zip(js.positions.tolist(), js.magnitudes.tolist())]
 
 
 def write_jumps_csv(fp, path: SubordinatorPath) -> None:
@@ -63,17 +60,32 @@ def write_jumps_csv(fp, path: SubordinatorPath) -> None:
         writer.writerow([dim, _fmt(pos), _fmt(mag)])
 
 
-def _path_from_pairs(per_dim: dict[int, list[tuple[float, float]]],
-                     domains: Sequence[tuple[float, float]]) -> SubordinatorPath:
-    """Path from per-dimension (position, magnitude) lists."""
-    jump_sets = []
-    for k, dom in enumerate(domains):
-        if per_dim[k]:
-            pos, mag = map(np.asarray, zip(*per_dim[k]))
-        else:
-            pos, mag = np.empty(0), np.empty(0)
-        jump_sets.append(JumpSet(pos, mag, dom))
-    return SubordinatorPath(jump_sets)
+def _data_rows(reader, width: int):
+    """The non-empty rows after the header, each checked to have ``width`` fields."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < width:
+            raise ValueError(f"line {reader.line_num}: expected {width} fields, got {row}")
+        yield row
+
+
+def _jump_rows(reader, width: int, n_dims: int):
+    """Each data row of a jump CSV with its (dim, position, magnitude), dim checked."""
+    for row in _data_rows(reader, width):
+        dim = int(row[0])
+        if not 0 <= dim < n_dims:
+            raise ValueError(f"line {reader.line_num}: jump row {row} references "
+                             f"dimension {dim}, have {n_dims}")
+        yield row, (dim, float(row[1]), float(row[2]))
+
+
+def _path_from_rows(rows: list[tuple[int, float, float]],
+                    domains: Sequence[tuple[float, float]]) -> SubordinatorPath:
+    """Path from (dim, position, magnitude) rows."""
+    dims, pos, mag = np.reshape(rows, (-1, 3)).T
+    return SubordinatorPath([JumpSet(pos[dims == k], mag[dims == k], dom)
+                             for k, dom in enumerate(domains)])
 
 
 def read_jumps_csv(fp, domains: Sequence[tuple[float, float]]) -> SubordinatorPath:
@@ -81,15 +93,7 @@ def read_jumps_csv(fp, domains: Sequence[tuple[float, float]]) -> SubordinatorPa
     header = next(reader)
     if header[:3] != ["dim", "position", "magnitude"]:
         raise ValueError(f"unexpected jump CSV header: {header}")
-    per_dim: dict[int, list[tuple[float, float]]] = {k: [] for k in range(len(domains))}
-    for row in reader:
-        if not row:
-            continue
-        dim = int(row[0])
-        if dim not in per_dim:
-            raise ValueError(f"jump row references dimension {dim}, have {len(domains)}")
-        per_dim[dim].append((float(row[1]), float(row[2])))
-    return _path_from_pairs(per_dim, domains)
+    return _path_from_rows([jump for _, jump in _jump_rows(reader, 3, len(domains))], domains)
 
 
 def write_sampled_paths_csv(fp, paths: Iterable[SubordinatorPath],
@@ -109,13 +113,10 @@ def read_sampled_paths_csv(fp, domains: Sequence[tuple[float, float]]
     header = next(reader)
     if header != ["dim", "position", "magnitude", "sweep"]:
         raise ValueError(f"unexpected sampled-path CSV header: {header}")
-    grouped: dict[int, dict[int, list[tuple[float, float]]]] = {}
-    for row in reader:
-        if not row:
-            continue
-        dim, pos, mag, sweep = int(row[0]), float(row[1]), float(row[2]), int(row[3])
-        grouped.setdefault(sweep, {k: [] for k in range(len(domains))})[dim].append((pos, mag))
-    return [(sweep, _path_from_pairs(grouped[sweep], domains)) for sweep in sorted(grouped)]
+    grouped: dict[int, list[tuple[int, float, float]]] = {}
+    for row, jump in _jump_rows(reader, 4, len(domains)):
+        grouped.setdefault(int(row[3]), []).append(jump)
+    return [(sweep, _path_from_rows(grouped[sweep], domains)) for sweep in sorted(grouped)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +139,7 @@ def read_dataset_csv(fp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"unexpected dataset CSV header: {header}")
     has_observed = "observed" in header
     xs, ys, obs = [], [], []
-    for row in reader:
-        if not row:
-            continue
+    for row in _data_rows(reader, d + 1 + has_observed):
         xs.append([float(v) for v in row[:d]])
         ys.append(float(row[d]))
         obs.append(bool(int(row[d + 1])) if has_observed else True)

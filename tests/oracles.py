@@ -4,6 +4,8 @@ Everything here is computed by quadrature, dense linear algebra or brute
 force, never through the library's own simulation / factorization paths.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, special
 from scipy.stats import gamma as gamma_dist
@@ -118,3 +120,14 @@ def brute_force_mixture(means, covs):
                 cov[i][j] += (covs[k][i][j]
                               + (means[k][i] - mean[i]) * (means[k][j] - mean[j])) / N
     return np.asarray(mean), np.asarray(cov)
+
+
+def step_function_values(positions, magnitudes, x):
+    """W(x) = sum of the magnitudes at positions <= x, for each x.
+
+    Compares every point with every jump and sums with ``math.fsum``; no
+    sorting, prefix sums or binary search.
+    """
+    positions = np.asarray(positions, dtype=float)
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    return np.array([math.fsum(magnitudes[positions <= xi]) for xi in np.ravel(x)])

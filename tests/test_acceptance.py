@@ -14,8 +14,8 @@ from scipy.stats import gamma as gamma_dist, ks_2samp, kstest
 from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, RegressionData, cli,
                   generate, gp_log_marginal_likelihood, kernel_value,
                   log_conditional_likelihood, mixture_moments, normalize_scale,
-                  posterior, predictive_moments, run_mh_gibbs, simulate_gamma_jumps,
-                  simulate_path, simulate_ts_jumps, warp_inputs)
+                  posterior, predictive_moments, run_mh_gibbs, simulate_jumps,
+                  simulate_path, warp_inputs)
 from ngpr.gp import ConditionalPosterior
 from ngpr.sampler import SamplerConfig
 
@@ -40,7 +40,7 @@ def test_criterion_1_ts_moments():
     mean_o, var_o = oracles.truncated_ts_moments(spec.C, spec.alpha, spec.beta,
                                                  spec.n_terms, rate=1.0)
     rng = np.random.default_rng(42)
-    w = np.array([simulate_ts_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
+    w = np.array([simulate_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
     se_mean = w.std(ddof=1) / np.sqrt(w.size)
     v = w.var(ddof=1)
     m4 = np.mean((w - w.mean()) ** 4)
@@ -57,7 +57,7 @@ def test_criterion_2_gamma_marginal_ks():
     """Gamma subordinator W(1) vs the Gamma(C, beta) marginal."""
     spec = LevyMeasureSpec("gamma", C=2.0, beta=4.0, n_terms=1000)
     rng = np.random.default_rng(7)
-    w = np.array([simulate_gamma_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
+    w = np.array([simulate_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
     res = kstest(w, gamma_dist(a=spec.C, scale=1.0 / spec.beta).cdf)
     ok = res.pvalue > 0.01
     _report(2, ok, f"KS D={res.statistic:.4f}, p={res.pvalue:.4f} (need > 0.01)")
@@ -133,7 +133,7 @@ def test_criterion_5_prior_recovery():
     assert len(mix.paths) == 2000
     chain_w = np.array([p.total() for p in mix.paths])
     rng = np.random.default_rng(1234)
-    direct_w = np.array([simulate_ts_jumps(lspec, 1.0, rng).sum() for _ in range(2000)])
+    direct_w = np.array([simulate_jumps(lspec, 1.0, rng).sum() for _ in range(2000)])
     res = ks_2samp(chain_w, direct_w)
     ok = res.pvalue > 0.01 and mix.acceptance_rate == 1.0
     _report(5, ok, f"KS D={res.statistic:.4f}, p={res.pvalue:.4f} (need > 0.01), "

@@ -134,6 +134,17 @@ def test_fit_without_metadata_requires_noise(workdir, tmp_path):
     assert rc == 0
 
 
+def test_fit_rejects_short_dataset_row(workdir, tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("x_0,y,observed\n0.1,0.5,1\n0.2\n")
+    out = tmp_path / "fitshort"
+    out.mkdir()
+    rc = cli.main(["fit", "-c", str(workdir / "config.txt"), "--data", str(short),
+                   "--out", str(out), "--set", "noise.variance=0.01"])
+    assert rc == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -190,6 +201,19 @@ def test_predict_rejects_malformed_set(workdir, capsys):
                    str(data_dir / "dataset.csv"), "--out", str(out_csv), "--set", "bogus"])
     assert rc == 2
     assert "--set expects key=value" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_predict_rejects_paths_row_with_unknown_dim(workdir, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    with open(fit_dir / "paths.csv", "a") as fp:
+        fp.write("3,0.1,0.2,5\n")
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(fit_dir), "--inputs",
+                   str(data_dir / "dataset.csv"), "--out", str(out_csv)])
+    assert rc == 2
+    assert "dimension 3" in capsys.readouterr().err
     assert not out_csv.exists()
 
 

@@ -1,13 +1,14 @@
 """Subordinator simulation: formulas, moments, distributions, path evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist, kstest
 
 from ngpr import (GAMMA, STABLE, TEMPERED_STABLE, JumpSet, LevyMeasureSpec,
                   SubordinatorPath, assign_positions, normalize_scale, poisson_epochs,
-                  simulate_gamma_jumps, simulate_path, simulate_stable_jumps,
-                  simulate_ts_jumps)
+                  simulate_jumps, simulate_path)
 
 import oracles
 
@@ -64,27 +65,27 @@ def test_ts_candidate_formula():
     # epoch 2.0 with C=1, alpha=0.5 gives candidate (0.5*2/1)^(-2) = 1.0
     spec = LevyMeasureSpec(TEMPERED_STABLE, C=1.0, alpha=0.5, beta=1.0, n_terms=1)
     rng = StubRng(exponentials=[2.0], uniforms=[0.0])
-    jumps = simulate_ts_jumps(spec, 1.0, rng)
+    jumps = simulate_jumps(spec, 1.0, rng)
     np.testing.assert_allclose(jumps, [1.0])
 
 
 def test_zero_tempering_accepts_every_candidate():
     spec = LevyMeasureSpec(TEMPERED_STABLE, C=1.0, alpha=0.5, beta=0.0, n_terms=500)
-    jumps = simulate_ts_jumps(spec, 1.0, np.random.default_rng(3))
+    jumps = simulate_jumps(spec, 1.0, np.random.default_rng(3))
     assert jumps.size == 500
 
 
 def test_zero_tempering_matches_stable_sampler_bitwise():
     ts = LevyMeasureSpec(TEMPERED_STABLE, C=1.2, alpha=0.6, beta=0.0, n_terms=400)
     st = LevyMeasureSpec(STABLE, C=1.2, alpha=0.6, n_terms=400)
-    a = simulate_ts_jumps(ts, 2.0, np.random.default_rng(99))
-    b = simulate_stable_jumps(st, 2.0, np.random.default_rng(99))
+    a = simulate_jumps(ts, 2.0, np.random.default_rng(99))
+    b = simulate_jumps(st, 2.0, np.random.default_rng(99))
     assert np.array_equal(a, b)
 
 
 def test_stable_candidates_strictly_decrease():
     spec = LevyMeasureSpec(STABLE, C=1.0, alpha=0.5, n_terms=1000)
-    jumps = simulate_stable_jumps(spec, 1.0, np.random.default_rng(8))
+    jumps = simulate_jumps(spec, 1.0, np.random.default_rng(8))
     assert np.all(np.diff(jumps) < 0)
 
 
@@ -95,7 +96,7 @@ def test_ts_truncated_series_moments_match_integration_oracle():
     spec = LevyMeasureSpec(TEMPERED_STABLE, C=C, alpha=alpha, beta=beta, n_terms=1000)
     mean_o, var_o = oracles.truncated_ts_moments(C, alpha, beta, 1000, rate=1.0)
     rng = np.random.default_rng(42)
-    w = np.array([simulate_ts_jumps(spec, 1.0, rng).sum() for _ in range(4000)])
+    w = np.array([simulate_jumps(spec, 1.0, rng).sum() for _ in range(4000)])
     se = w.std(ddof=1) / np.sqrt(w.size)
     assert abs(w.mean() - mean_o) < 3 * se
     # With these parameters the 1000-term cut removes a fifth of the mass, so
@@ -109,7 +110,7 @@ def test_ts_moments_match_full_integration_oracle_when_truncation_negligible():
     mean_o = t * oracles.ts_moment(1, C, alpha, beta)
     var_o = t * oracles.ts_moment(2, C, alpha, beta)
     rng = np.random.default_rng(17)
-    w = np.array([simulate_ts_jumps(spec, t, rng).sum() for _ in range(4000)])
+    w = np.array([simulate_jumps(spec, t, rng).sum() for _ in range(4000)])
     se_mean = w.std(ddof=1) / np.sqrt(w.size)
     v = w.var(ddof=1)
     m4 = np.mean((w - w.mean()) ** 4)
@@ -124,7 +125,7 @@ def test_ts_jump_sizes_above_threshold_follow_normalized_density():
     rng = np.random.default_rng(5)
     jumps = []
     while sum(j.size for j in jumps) < 10_000:
-        j = simulate_ts_jumps(spec, 1.0, rng)
+        j = simulate_jumps(spec, 1.0, rng)
         jumps.append(j[j >= eps])
     sample = np.concatenate(jumps)
     grid, cdf = oracles.ts_tail_cdf_grid(eps, C, alpha, beta, upper=sample.max() * 2)
@@ -148,7 +149,7 @@ def test_gamma_candidate_and_thinning_limits():
 def test_gamma_mean_matches_marginal():
     spec = LevyMeasureSpec(GAMMA, C=2.0, beta=4.0, n_terms=1000)
     rng = np.random.default_rng(11)
-    w = np.array([simulate_gamma_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
+    w = np.array([simulate_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
     se = w.std(ddof=1) / np.sqrt(w.size)
     assert abs(w.mean() - 0.5) < 3 * se
 
@@ -156,7 +157,7 @@ def test_gamma_mean_matches_marginal():
 def test_gamma_marginal_distribution_ks():
     spec = LevyMeasureSpec(GAMMA, C=2.0, beta=4.0, n_terms=1000)
     rng = np.random.default_rng(12)
-    w = np.array([simulate_gamma_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
+    w = np.array([simulate_jumps(spec, 1.0, rng).sum() for _ in range(10_000)])
     res = kstest(w, gamma_dist(a=2.0, scale=0.25).cdf)
     assert res.pvalue > 0.01
 
@@ -199,6 +200,8 @@ def test_jump_set_validation():
         JumpSet(np.array([0.5]), np.array([0.0]), (0.0, 1.0))
     with pytest.raises(ValueError):
         JumpSet(np.array([1.5]), np.array([1.0]), (0.0, 1.0))
+    with pytest.raises(ValueError):
+        JumpSet(np.array([0.2, np.nan]), np.array([1.0, 5.0]), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,28 @@ def test_jump_set_validation():
 
 def _path(positions, magnitudes, domain=(0.0, 1.0)):
     return SubordinatorPath([JumpSet(np.asarray(positions), np.asarray(magnitudes), domain)])
+
+
+def test_jump_set_sorts_and_evaluates_like_brute_force_oracle():
+    rng = np.random.default_rng(31)
+    positions = np.concatenate((rng.uniform(0.0, 2.0, 300), np.full(6, 0.75), [2.0, 2.0]))
+    magnitudes = rng.exponential(size=positions.size)
+    order = rng.permutation(positions.size)
+    js = JumpSet(positions[order], magnitudes[order], (0.0, 2.0))
+    assert np.all(np.diff(js.positions) >= 0)
+    assert sorted(zip(js.positions, js.magnitudes)) == sorted(zip(positions, magnitudes))
+    # tied jumps keep their input order
+    assert np.array_equal(js.magnitudes[js.positions == 0.75],
+                          magnitudes[order][positions[order] == 0.75])
+    assert js.cumulative[0] == 0.0 and js.cumulative.size == positions.size + 1
+    assert not (js.positions.flags.writeable or js.magnitudes.flags.writeable
+                or js.cumulative.flags.writeable)
+    path = SubordinatorPath([js])
+    x = np.concatenate((np.linspace(0.0, 2.0, 401), positions))
+    np.testing.assert_allclose(path.values(x),
+                               oracles.step_function_values(positions, magnitudes, x),
+                               rtol=1e-12)
+    assert path.total() == pytest.approx(math.fsum(magnitudes), rel=1e-12)
 
 
 def test_evaluate_path_closed_right_convention():

@@ -1,5 +1,7 @@
 """MH-within-Gibbs sampler: proposals, acceptance, aggregation, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,47 @@ def test_boundary_jump_belongs_to_the_last_interval():
     edges = partition_edges((0.0, 1.0), 4)
     prop = propose(current, (edges[-2], edges[-1]), 0, LSPEC, np.random.default_rng(3))
     assert 1.0 not in prop.jump_sets[0].positions
+
+
+def test_flat_likelihood_chain_keeps_jump_sets_sorted_and_exact():
+    """Every proposal of a 2-D chain keeps the sorted invariant and the oracle's W."""
+    from ngpr import SamplerConfig
+
+    domains = [(0.0, 1.0), (-1.0, 2.0)]
+    cfg = SamplerConfig(n_sweeps=14, n_intervals=7, burn_in_fraction=0.0)
+    edges = [partition_edges(dom, cfg.n_intervals) for dom in domains]
+    seen = []
+
+    def checked_flat(data, path, kspec):
+        if seen:  # the chain proposes sweep by sweep, dim by dim, left to right
+            dim, j = divmod((len(seen) - 1) % (2 * cfg.n_intervals), cfg.n_intervals)
+            lo, hi = edges[dim][j], edges[dim][j + 1]
+            before, after = seen[-1].jump_sets[dim], path.jump_sets[dim]
+            # the last interval also owns a jump on the upper bound
+            above = before.positions > hi if j == cfg.n_intervals - 1 else before.positions >= hi
+            out_before = (before.positions < lo) | above
+            out_after = (after.positions < lo) | (after.positions >= hi)
+            assert np.array_equal(before.positions[out_before], after.positions[out_after])
+            assert np.array_equal(before.magnitudes[out_before], after.magnitudes[out_after])
+            assert path.jump_sets[1 - dim] is seen[-1].jump_sets[1 - dim]
+        for k, js in enumerate(path.jump_sets):
+            assert np.all(np.diff(js.positions) >= 0)
+            assert js.cumulative[-1] == path.total(k)
+            assert path.total(k) == pytest.approx(math.fsum(js.magnitudes), rel=1e-12)
+            x = np.concatenate((edges[k], np.linspace(*domains[k], 101)))
+            np.testing.assert_allclose(
+                path.values(x, k), oracles.step_function_values(js.positions, js.magnitudes, x),
+                rtol=1e-12)
+        seen.append(path)
+        return 0.0
+
+    rng = np.random.default_rng(40)
+    data = RegressionData(rng.uniform(0.0, 1.0, (6, 2)), rng.normal(size=6), 0.05)
+    mix = run_mh_gibbs(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(41),
+                       domains=domains, log_lik_fn=checked_flat)
+    assert mix.acceptance_rate == 1.0
+    assert len(seen) == 1 + cfg.n_sweeps * 2 * cfg.n_intervals
+    assert seen[-1] is mix.final_path
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +392,25 @@ def test_coarse_vs_identity_init_logged_comparison():
         results[init] = (reached, mix.avg_log_cond_lik)
     print(f"[INFO] sweeps to reach own avg-ll band: identity={results['identity']}, "
           f"coarse={results['coarse']}")
+
+
+def test_coarse_chain_computes_no_posterior(monkeypatch):
+    from ngpr import SamplerConfig, sampler
+
+    calls = []
+    real_posterior = sampler.posterior
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_posterior(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "posterior", counted)
+    data = _toy_data(np.random.default_rng(24))
+    cfg = SamplerConfig(n_sweeps=4, n_intervals=12, burn_in_fraction=0.0, init="coarse",
+                        coarse_intervals=3, coarse_sweeps=5)
+    mix = run_mh_gibbs(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(25),
+                       domains=[(0.0, 1.0)])
+    assert len(calls) == len(mix.paths) == 4
 
 
 # ---------------------------------------------------------------------------
