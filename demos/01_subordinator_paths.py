@@ -30,8 +30,9 @@ grid = np.linspace(0, 1, 11)
 print("  W on a coarse grid:", np.round(path.values(grid), 3))
 
 # Monte Carlo check of the unit-mean normalization.  With alpha this close
-# to 1 the 1000-term truncation keeps a visible share of the tiny jumps out,
-# so the realized mean sits a little below 1.
+# to 1, truncating the series at an expected 1000 terms over the domain
+# keeps a visible share of the tiny jumps out, so the realized mean sits
+# about a fifth below 1.
 w = np.array([simulate_jumps(ts, 1.0, rng).sum() for _ in range(2000)])
 print(f"  mean of W(1) over 2000 replicates: {w.mean():.4f} (untruncated target 1.0)")
 

@@ -9,8 +9,8 @@ are included.
 
 from .errors import NumericalError
 from .levy import (GAMMA, STABLE, TEMPERED_STABLE, JumpSet, LevyMeasureSpec,
-                   SubordinatorPath, assign_positions, normalize_scale, poisson_epochs,
-                   simulate_jumps, simulate_path)
+                   SubordinatorPath, assign_positions, normalize_scale, simulate_jumps,
+                   simulate_path)
 from .kernels import MATERN52, SQUARED_EXPONENTIAL, KernelSpec, build_gram, kernel_value
 from .gp import (ConditionalPosterior, RegressionData, gp_log_marginal_likelihood,
                  grid_search_length_scale, log_conditional_likelihood, posterior,
@@ -26,7 +26,7 @@ __all__ = [
     "NumericalError",
     "JumpSet", "LevyMeasureSpec", "SubordinatorPath",
     "TEMPERED_STABLE", "GAMMA", "STABLE",
-    "poisson_epochs", "simulate_jumps", "assign_positions", "simulate_path",
+    "simulate_jumps", "assign_positions", "simulate_path",
     "normalize_scale",
     "KernelSpec", "SQUARED_EXPONENTIAL", "MATERN52", "kernel_value", "build_gram",
     "RegressionData", "ConditionalPosterior", "warp_inputs", "posterior",

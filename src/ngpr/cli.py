@@ -277,6 +277,7 @@ def cmd_fit(args) -> int:
 
     lml_fixed = gp_log_marginal_likelihood(data, kspec)
     l_opt, lml_opt = grid_search_length_scale(data, kspec)
+    jump_counts = [path.n_jumps() for path in mix.paths]
     summary = {
         "acceptance_rate": mix.acceptance_rate,
         "avg_log_cond_lik": mix.avg_log_cond_lik,
@@ -285,6 +286,8 @@ def cmd_fit(args) -> int:
         "gp_log_marginal_opt": lml_opt,
         "gp_length_scale_opt": l_opt,
         "n_samples": len(mix.sweeps),
+        "jumps_per_path": {"min": min(jump_counts), "mean": float(np.mean(jump_counts)),
+                           "max": max(jump_counts)},
         "n_chains": n_chains,
         "seed": scfg.seed,
         "noise_variance": noise_variance,

@@ -5,8 +5,12 @@ On a bounded interval it is represented by a finite collection of
 (position, magnitude) pairs: ordered jump magnitudes are produced by
 passing the epochs of a Poisson process through the inverse tail mass of
 the Levy density (or through a dominating process that is subsequently
-thinned), and positions are drawn uniformly over the interval.  The
-resulting step function
+thinned), and positions are drawn uniformly over the interval.  The series
+is truncated at a fixed epoch horizon per domain, i.e. at one jump-size
+threshold, so by the restriction property of the Poisson point process
+(Rosinski 2001) the series simulated on a sub-interval is exactly the
+whole-domain series restricted to that sub-interval.  The resulting step
+function
 
     W(x) = sum_i M_i * 1{V_i <= x}
 
@@ -38,8 +42,9 @@ class LevyMeasureSpec:
 
     ``C`` scales the expected number of jumps per unit measure, ``alpha``
     is the stable tail index (unused for gamma), ``beta`` the exponential
-    tempering rate (ignored for stable), and ``n_terms`` the fixed number
-    of candidate terms generated per simulated series.
+    tempering rate (ignored for stable), and ``n_terms`` the expected
+    number of candidate terms per dimension over its whole domain, which
+    fixes the truncation threshold (see ``simulate_jumps``).
     """
 
     family: str
@@ -63,22 +68,23 @@ class LevyMeasureSpec:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpSet:
     """Finite point set (positions, magnitudes) of a subordinator on an interval.
 
-    Magnitudes are strictly positive and positions lie inside the closed
-    domain.  Construction stable-sorts the jumps by position (ties keep their
-    input order), so ``positions`` is non-decreasing with ``magnitudes``
-    aligned.  The read-only ``cumulative`` holds the prefix sums of the
+    Magnitudes are strictly positive and finite, and positions lie inside
+    the closed domain.  Construction stable-sorts the jumps by position
+    (ties keep their input order), so ``positions`` is non-decreasing with
+    ``magnitudes`` aligned.  The read-only ``cumulative`` holds the prefix sums of the
     sorted magnitudes, starting at 0, so W(x) is ``cumulative[i]`` for
-    ``i = searchsorted(positions, x, side="right")``.
+    ``i = searchsorted(positions, x, side="right")``.  Equality is identity;
+    compare the arrays to compare two sets' jumps.
     """
 
     positions: np.ndarray
     magnitudes: np.ndarray
     domain: tuple[float, float]
-    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+    cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
@@ -91,8 +97,8 @@ class JumpSet:
         order = np.argsort(positions, kind="stable")
         positions, magnitudes = positions[order], magnitudes[order]
         if magnitudes.size:
-            if not np.all(magnitudes > 0):
-                raise ValueError("all jump magnitudes must be strictly positive")
+            if not np.all((magnitudes > 0) & (magnitudes < np.inf)):
+                raise ValueError("all jump magnitudes must be positive and finite")
             if not lo <= positions[0] <= positions[-1] <= hi:  # NaN sorts last and fails
                 raise ValueError("jump positions must lie within the domain")
         cumulative = np.concatenate(([0.0], np.cumsum(magnitudes)))
@@ -155,32 +161,31 @@ class SubordinatorPath:
         return int(sum(len(js) for js in self.jump_sets))
 
 
-def poisson_epochs(rate: float, n_terms: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``n_terms`` epochs of a Poisson process with the given rate.
+def simulate_jumps(spec: LevyMeasureSpec, region_measure: float, rng: np.random.Generator,
+                   domain_measure: float | None = None) -> np.ndarray:
+    """Jump magnitudes on a region of a domain, in decreasing candidate order.
 
-    Returns the strictly increasing cumulative sums of i.i.d. exponential
-    inter-arrival times with mean ``1/rate``.
-    """
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
-    return np.cumsum(rng.exponential(scale=1.0 / rate, size=n_terms))
-
-
-def simulate_jumps(spec: LevyMeasureSpec, region_measure: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Jump magnitudes on a region of the given measure, in decreasing candidate order.
-
-    Poisson epochs at rate ``region_measure`` map to candidates, each kept
-    with its family's probability.  Tempered stable: stable candidates
+    The series is truncated at the epoch horizon ``E = n_terms /
+    domain_measure`` (``domain_measure`` defaults to ``region_measure``, a
+    whole domain): ``K ~ Poisson(region_measure * E)`` epochs, i.i.d.
+    uniform on ``(0, E]`` and sorted, map to candidates, each kept with its
+    family's probability.  Tempered stable: stable candidates
     ``(alpha * epoch / C)^(-1/alpha)`` kept with ``exp(-beta x)``; stable:
     the same candidates, all kept; gamma: ``1 / (beta (exp(epoch / C) - 1))``
-    kept with ``(1 + beta x) exp(-beta x)``.  Every family draws ``n_terms``
+    kept with ``(1 + beta x) exp(-beta x)``.  Every region of one domain
+    shares the threshold ``h(E)``, so a region's jumps are distributed as
+    the whole-domain jumps that fall in it.  Every family draws ``K``
     uniforms, so ``beta = 0`` tempering reproduces the stable output bit for
     bit.  Candidates that underflow to zero in float64 are dropped.
     """
-    epochs = poisson_epochs(region_measure, spec.n_terms, rng)
+    if domain_measure is None:
+        domain_measure = region_measure
+    if not (region_measure > 0 and domain_measure > 0):
+        raise ValueError(f"region and domain measures must be positive, "
+                         f"got {region_measure} and {domain_measure}")
+    horizon = spec.n_terms / domain_measure
+    k = rng.poisson(region_measure * horizon)
+    epochs = np.sort(horizon * (1.0 - rng.random(k)))
     with np.errstate(over="ignore", under="ignore"):
         if spec.family == GAMMA:
             x = 1.0 / (spec.beta * np.expm1(epochs / spec.C))
@@ -188,7 +193,7 @@ def simulate_jumps(spec: LevyMeasureSpec, region_measure: float,
         else:
             x = (spec.alpha * epochs / spec.C) ** (-1.0 / spec.alpha)
             keep_prob = np.exp(-spec.beta * x) if spec.family == TEMPERED_STABLE else 1.0
-    x = x[rng.random(spec.n_terms) < keep_prob]
+    x = x[rng.random(k) < keep_prob]
     return x[x > 0]
 
 
@@ -201,7 +206,7 @@ def assign_positions(magnitudes: np.ndarray, domain: tuple[float, float],
 
 def simulate_path(spec: LevyMeasureSpec, domains: Sequence[tuple[float, float]],
                   rng: np.random.Generator) -> SubordinatorPath:
-    """Independent subordinator per dimension, epochs at rate = interval length."""
+    """Independent subordinator per dimension, each simulated over its whole domain."""
     return SubordinatorPath([assign_positions(simulate_jumps(spec, hi - lo, rng), (lo, hi), rng)
                              for lo, hi in domains])
 

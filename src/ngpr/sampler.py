@@ -163,11 +163,13 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
 
     Jumps with position in ``[lo, hi)`` are removed (``[lo, hi]`` when the
     interval ends at the domain boundary, so every jump belongs to exactly
-    one interval of a partition) and replaced by fresh jumps simulated at
-    rate ``hi - lo`` with uniform positions.  The jump set is sorted, so the
-    removed jumps are one slice, found by binary search; the result joins
-    the jumps left of it, the fresh jumps and the jumps right of it, and
-    stays sorted.  Every other dimension keeps its ``JumpSet`` object.
+    one interval of a partition) and replaced by fresh jumps with uniform
+    positions, simulated on measure ``hi - lo`` at the truncation threshold
+    of the whole domain.  That is the prior ``simulate_path`` draws from,
+    restricted to the interval, whatever the partition.  The jump set is
+    sorted, so the removed jumps are one slice, found by binary search; the
+    result joins the jumps left of it, the fresh jumps and the jumps right
+    of it, and stays sorted.  Every other dimension keeps its ``JumpSet`` object.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -175,7 +177,8 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
     js = current.jump_sets[dim]
     start = np.searchsorted(js.positions, lo, side="left")
     stop = np.searchsorted(js.positions, hi, side="right" if hi >= js.domain[1] else "left")
-    fresh = assign_positions(simulate_jumps(lspec, hi - lo, rng), (lo, hi), rng)
+    fresh = assign_positions(simulate_jumps(lspec, hi - lo, rng, js.domain[1] - js.domain[0]),
+                             (lo, hi), rng)
     spliced = JumpSet(
         np.concatenate((js.positions[:start], fresh.positions, js.positions[stop:])),
         np.concatenate((js.magnitudes[:start], fresh.magnitudes, js.magnitudes[stop:])),

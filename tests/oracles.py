@@ -81,6 +81,28 @@ def truncated_ts_moments(C, alpha, beta, n_terms, rate):
     return mean, e_var + e_m2 - mean ** 2
 
 
+def horizon_ts_moments(C, alpha, beta, horizon, measure):
+    """Mean and variance of the tempered-stable series cut at an epoch horizon.
+
+    Epochs on ``(0, horizon]`` at rate ``measure`` map to stable candidates
+    above ``c = h(horizon) = (alpha horizon / C)^(-1/alpha)``; thinning with
+    ``e^{-beta x}`` leaves jumps with intensity ``measure * ts_density`` on
+    ``(c, inf)``.  The sum is compound Poisson, so its mean and variance are
+    ``measure`` times the first and second moments of that density above c.
+    """
+    c = (alpha * horizon / C) ** (-1.0 / alpha)
+
+    def above_c(k):
+        def f(x):
+            return x ** k * ts_density(x, C, alpha, beta)
+
+        split = max(c, 1.0)
+        return (integrate.quad(f, c, split, limit=200)[0]
+                + integrate.quad(f, split, np.inf, limit=200)[0])
+
+    return measure * above_c(1), measure * above_c(2)
+
+
 def gamma_fn_by_quadrature(z):
     """Gamma function via its integral definition, independent of scipy.special."""
     val, _ = integrate.quad(lambda t: t ** (z - 1.0) * np.exp(-t), 0, np.inf)

@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ def test_fit_summary_schema_and_outputs(workdir):
     summary = json.loads((fit_dir / "summary.json").read_text())
     for field in ("acceptance_rate", "avg_log_cond_lik", "std_log_cond_lik",
                   "gp_log_marginal", "gp_log_marginal_opt", "gp_length_scale_opt",
-                  "true_path_log_cond_lik", "rmse_ngp", "rmse_gp", "noise_variance"):
+                  "true_path_log_cond_lik", "rmse_ngp", "rmse_gp", "noise_variance",
+                  "jumps_per_path"):
         assert field in summary, field
     assert 0.0 <= summary["acceptance_rate"] <= 1.0
     # noise.variance resolved from the metadata sidecar (0.1 ** 2)
@@ -118,6 +120,16 @@ def test_fit_multi_chain_outputs(workdir):
     assert (fit_dir / "paths_chain1.csv").is_file()
     summary = json.loads((fit_dir / "summary.json").read_text())
     assert summary["n_chains"] == 2
+    # jump counts over the pooled stored paths (sweeps 8 - per_chain .. 7 of
+    # sampler.n_sweeps = 8); a path with no jumps has no rows
+    per_chain = summary["n_samples"] // 2
+    counts = []
+    for chain in range(2):
+        with open(fit_dir / f"paths_chain{chain}.csv") as fp:
+            rows = Counter(line.split(",")[3] for line in fp.read().splitlines()[1:])
+        counts += [rows[str(sweep)] for sweep in range(8 - per_chain, 8)]
+    assert summary["jumps_per_path"] == {"min": min(counts), "mean": np.mean(counts),
+                                         "max": max(counts)}
 
 
 def test_fit_without_metadata_requires_noise(workdir, tmp_path):

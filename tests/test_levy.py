@@ -7,54 +7,32 @@ import pytest
 from scipy.stats import gamma as gamma_dist, kstest
 
 from ngpr import (GAMMA, STABLE, TEMPERED_STABLE, JumpSet, LevyMeasureSpec,
-                  SubordinatorPath, assign_positions, normalize_scale, poisson_epochs,
-                  simulate_jumps, simulate_path)
+                  SubordinatorPath, assign_positions, normalize_scale, simulate_jumps,
+                  simulate_path)
 
 import oracles
 
 
 class StubRng:
-    """Feeds fixed variates to the samplers in place of a real generator."""
+    """Feeds fixed variates to the samplers in place of a real generator.
 
-    def __init__(self, exponentials=(), uniforms=()):
-        self._exp = np.asarray(exponentials, dtype=float)
-        self._uni = np.asarray(uniforms, dtype=float)
+    ``poisson`` returns the next count and records its mean; ``random``
+    returns the next block of uniforms, whose size must match the call.
+    """
 
-    def exponential(self, scale=1.0, size=None):
-        assert size == self._exp.size
-        return self._exp * scale
+    def __init__(self, counts=(), uniforms=()):
+        self._counts = list(counts)
+        self._uni = [np.asarray(u, dtype=float) for u in uniforms]
+        self.poisson_means = []
+
+    def poisson(self, lam):
+        self.poisson_means.append(lam)
+        return self._counts.pop(0)
 
     def random(self, size=None):
-        assert size == self._uni.size
-        return self._uni
-
-
-# ---------------------------------------------------------------------------
-# poisson_epochs
-# ---------------------------------------------------------------------------
-
-def test_epochs_are_cumulative_sums():
-    rng = StubRng(exponentials=[0.5, 0.2, 0.3])
-    np.testing.assert_allclose(poisson_epochs(1.0, 3, rng), [0.5, 0.7, 1.0])
-
-
-def test_epochs_reject_bad_parameters():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        poisson_epochs(1.0, 0, rng)
-    with pytest.raises(ValueError):
-        poisson_epochs(0.0, 5, rng)
-    with pytest.raises(ValueError):
-        poisson_epochs(-2.0, 5, rng)
-
-
-def test_epoch_spacing_matches_rate():
-    rng = np.random.default_rng(42)
-    epochs = poisson_epochs(2.0, 100_000, rng)
-    spacings = np.diff(np.concatenate(([0.0], epochs)))
-    se = spacings.std(ddof=1) / np.sqrt(spacings.size)
-    assert abs(spacings.mean() - 0.5) < 3 * se
-    assert np.all(np.diff(epochs) > 0)
+        block = self._uni.pop(0)
+        assert size == block.size
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +40,28 @@ def test_epoch_spacing_matches_rate():
 # ---------------------------------------------------------------------------
 
 def test_ts_candidate_formula():
-    # epoch 2.0 with C=1, alpha=0.5 gives candidate (0.5*2/1)^(-2) = 1.0
-    spec = LevyMeasureSpec(TEMPERED_STABLE, C=1.0, alpha=0.5, beta=1.0, n_terms=1)
-    rng = StubRng(exponentials=[2.0], uniforms=[0.0])
-    jumps = simulate_jumps(spec, 1.0, rng)
+    # horizon 4 / 2 = 2 on a domain of measure 2; the uniform 0 maps to the
+    # epoch 2 * (1 - 0) = 2.0, whose candidate with C=1, alpha=0.5 is
+    # (0.5*2/1)^(-2) = 1.0; a thinning uniform of 0 keeps it
+    spec = LevyMeasureSpec(TEMPERED_STABLE, C=1.0, alpha=0.5, beta=1.0, n_terms=4)
+    rng = StubRng(counts=[1], uniforms=[[0.0], [0.0]])
+    jumps = simulate_jumps(spec, 0.5, rng, domain_measure=2.0)
     np.testing.assert_allclose(jumps, [1.0])
+    assert rng.poisson_means == [pytest.approx(0.5 * 4 / 2.0)]
 
 
 def test_zero_tempering_accepts_every_candidate():
     spec = LevyMeasureSpec(TEMPERED_STABLE, C=1.0, alpha=0.5, beta=0.0, n_terms=500)
     jumps = simulate_jumps(spec, 1.0, np.random.default_rng(3))
-    assert jumps.size == 500
+    assert jumps.size == np.random.default_rng(3).poisson(500)
+
+
+def test_simulate_jumps_rejects_nonpositive_measures():
+    spec = LevyMeasureSpec(TEMPERED_STABLE, C=1.0, alpha=0.5, beta=1.0, n_terms=10)
+    rng = np.random.default_rng(0)
+    for region, domain in ((0.0, None), (-1.0, None), (0.5, 0.0), (0.5, -2.0)):
+        with pytest.raises(ValueError):
+            simulate_jumps(spec, region, rng, domain_measure=domain)
 
 
 def test_zero_tempering_matches_stable_sampler_bitwise():
@@ -89,19 +78,48 @@ def test_stable_candidates_strictly_decrease():
     assert np.all(np.diff(jumps) < 0)
 
 
+def _assert_moments(w, mean_o, var_o):
+    """Sample mean and variance of ``w`` within 3 standard errors of the oracle."""
+    se_mean = w.std(ddof=1) / np.sqrt(w.size)
+    v = w.var(ddof=1)
+    m4 = np.mean((w - w.mean()) ** 4)
+    se_var = np.sqrt((m4 - v ** 2) / w.size)
+    assert abs(w.mean() - mean_o) < 3 * se_mean
+    assert abs(v - var_o) < 3 * se_var
+    return se_mean
+
+
 def test_ts_truncated_series_moments_match_integration_oracle():
-    # The paper-style configuration; the oracle accounts for the n-term cut.
+    # The paper-style configuration on a whole domain of measure 1: the
+    # oracle accounts for the cut at the epoch horizon n_terms.
     alpha, beta = 0.8, 5.0
     C = normalize_scale(alpha, beta, TEMPERED_STABLE)
     spec = LevyMeasureSpec(TEMPERED_STABLE, C=C, alpha=alpha, beta=beta, n_terms=1000)
-    mean_o, var_o = oracles.truncated_ts_moments(C, alpha, beta, 1000, rate=1.0)
+    mean_o, var_o = oracles.horizon_ts_moments(C, alpha, beta, horizon=1000, measure=1.0)
     rng = np.random.default_rng(42)
     w = np.array([simulate_jumps(spec, 1.0, rng).sum() for _ in range(4000)])
-    se = w.std(ddof=1) / np.sqrt(w.size)
-    assert abs(w.mean() - mean_o) < 3 * se
+    se = _assert_moments(w, mean_o, var_o)
     # With these parameters the 1000-term cut removes a fifth of the mass, so
     # the truncation-blind oracle must sit far outside the same band.
     assert abs(w.mean() - oracles.ts_moment(1, C, alpha, beta)) > 10 * se
+
+
+def test_ts_sub_interval_series_is_whole_domain_series_restricted():
+    # A quarter of a domain of measure 2 keeps the whole domain's threshold
+    # h(n_terms / 2); cut as if the quarter were a whole domain, at
+    # h(n_terms / 0.5), the series would reach far smaller jumps.
+    alpha, beta, n_terms = 0.8, 5.0, 200
+    C = normalize_scale(alpha, beta, TEMPERED_STABLE)
+    spec = LevyMeasureSpec(TEMPERED_STABLE, C=C, alpha=alpha, beta=beta, n_terms=n_terms)
+    mean_o, var_o = oracles.horizon_ts_moments(C, alpha, beta, horizon=n_terms / 2.0,
+                                               measure=0.5)
+    rng = np.random.default_rng(43)
+    w = np.array([simulate_jumps(spec, 0.5, rng, domain_measure=2.0).sum()
+                  for _ in range(4000)])
+    se = _assert_moments(w, mean_o, var_o)
+    own_cut, _ = oracles.horizon_ts_moments(C, alpha, beta, horizon=n_terms / 0.5,
+                                            measure=0.5)
+    assert abs(w.mean() - own_cut) > 10 * se
 
 
 def test_ts_moments_match_full_integration_oracle_when_truncation_negligible():
@@ -111,12 +129,7 @@ def test_ts_moments_match_full_integration_oracle_when_truncation_negligible():
     var_o = t * oracles.ts_moment(2, C, alpha, beta)
     rng = np.random.default_rng(17)
     w = np.array([simulate_jumps(spec, t, rng).sum() for _ in range(4000)])
-    se_mean = w.std(ddof=1) / np.sqrt(w.size)
-    v = w.var(ddof=1)
-    m4 = np.mean((w - w.mean()) ** 4)
-    se_var = np.sqrt((m4 - v ** 2) / w.size)
-    assert abs(w.mean() - mean_o) < 3 * se_mean
-    assert abs(v - var_o) < 3 * se_var
+    _assert_moments(w, mean_o, var_o)
 
 
 def test_ts_jump_sizes_above_threshold_follow_normalized_density():
@@ -202,6 +215,15 @@ def test_jump_set_validation():
         JumpSet(np.array([1.5]), np.array([1.0]), (0.0, 1.0))
     with pytest.raises(ValueError):
         JumpSet(np.array([0.2, np.nan]), np.array([1.0, 5.0]), (0.0, 1.0))
+    for bad in (np.inf, np.nan, -np.inf):
+        with pytest.raises(ValueError):
+            JumpSet(np.array([0.2, 0.4]), np.array([1.0, bad]), (0.0, 1.0))
+
+
+def test_jump_set_equality_is_identity():
+    a = JumpSet([0.1, 0.2], [1.0, 2.0], (0, 1))
+    b = JumpSet([0.1, 0.2], [1.0, 2.0], (0, 1))
+    assert a == a and not a == b and a != b
 
 
 # ---------------------------------------------------------------------------

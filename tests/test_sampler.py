@@ -254,6 +254,37 @@ def test_flat_likelihood_accepts_everything():
     assert mix.acceptance_rate == 1.0
 
 
+@pytest.mark.parametrize("n_intervals", [4, 16])
+def test_flat_likelihood_chain_targets_the_simulate_path_prior(n_intervals):
+    """Whatever the partition, the chain's W(x_ub) and path size match ``simulate_path``.
+
+    With a flat likelihood every proposal is accepted and each sweep redraws
+    the whole domain, so the stored paths are independent prior draws.  At
+    alpha=0.8 much of W's mass sits in jumps near the truncation threshold,
+    so an interval cut deeper than the whole-domain series shows in both.
+    """
+    from scipy.stats import ks_2samp
+
+    from ngpr import SamplerConfig, normalize_scale, simulate_path
+
+    lspec = LevyMeasureSpec("tempered_stable", C=normalize_scale(0.8, 5.0, "tempered_stable"),
+                            alpha=0.8, beta=5.0, n_terms=50)
+    data = RegressionData(np.array([[0.5]]), np.array([0.0]), 0.01)
+    cfg = SamplerConfig(n_sweeps=1000, n_intervals=n_intervals, burn_in_fraction=0.2)
+    mix = run_mh_gibbs(data, data.X, KSPEC, lspec, cfg, np.random.default_rng(50 + n_intervals),
+                       domains=[(0.0, 1.0)], log_lik_fn=lambda d, p, k: 0.0)
+    assert mix.acceptance_rate == 1.0
+    rng = np.random.default_rng(60 + n_intervals)
+    direct = [simulate_path(lspec, [(0.0, 1.0)], rng) for _ in range(2000)]
+    res = ks_2samp([p.total() for p in mix.paths], [p.total() for p in direct])
+    assert res.pvalue > 0.01
+    chain_n = np.array([p.n_jumps() for p in mix.paths], dtype=float)
+    direct_n = np.array([p.n_jumps() for p in direct], dtype=float)
+    se = np.hypot(chain_n.std(ddof=1) / np.sqrt(chain_n.size),
+                  direct_n.std(ddof=1) / np.sqrt(direct_n.size))
+    assert abs(chain_n.mean() - direct_n.mean()) < 3 * se
+
+
 def test_rejected_proposals_leave_state_untouched():
     from ngpr import SamplerConfig
 
