@@ -16,8 +16,8 @@ from .gp import (ConditionalPosterior, RegressionData, gp_log_marginal_likelihoo
                  grid_search_length_scale, log_conditional_likelihood, posterior,
                  warp_inputs)
 from .sampler import (MixturePosterior, SamplerConfig, acceptance_probability,
-                      init_coarse, init_identity, mixture_moments, partition_edges,
-                      pool_chains, predictive_moments, propose, run_chains, run_mh_gibbs)
+                      init_identity, mixture_moments, partition_edges, pool_chains,
+                      predictive_moments, propose, run_chains, run_mh_gibbs)
 from .datagen import GenSpec, SyntheticDataset, generate
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "RegressionData", "ConditionalPosterior", "warp_inputs", "posterior",
     "log_conditional_likelihood", "gp_log_marginal_likelihood",
     "grid_search_length_scale",
-    "SamplerConfig", "MixturePosterior", "init_identity", "init_coarse", "propose",
+    "SamplerConfig", "MixturePosterior", "init_identity", "propose",
     "acceptance_probability", "run_mh_gibbs", "run_chains", "pool_chains",
     "mixture_moments", "predictive_moments", "partition_edges",
     "GenSpec", "SyntheticDataset", "generate",

@@ -1,9 +1,9 @@
 """Command-line front end: gen, fit, predict, simulate, normalize.
 
 Configuration is a flat dotted-key text file; ``--set key=value`` and the
-dedicated flags override file values.  Every run echoes its effective
-configuration into the output bundle.  Exit codes: 0 success, 1 numerical
-failure, 2 usage or I/O error.
+dedicated flags override file values, and a key outside ``DEFAULTS`` is a
+usage error.  Every run echoes its effective configuration into the output
+bundle.  Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ DEFAULTS = {
     "sampler.n_sweeps": "50",
     "sampler.n_intervals": "100",
     "sampler.burn_in_fraction": "0.2",
-    "sampler.init": "identity",
-    "sampler.coarse_intervals": "5",
-    "sampler.coarse_sweeps": "10",
-    "sampler.randomize_interval_order": "false",
     "sampler.seed": "0",
     "sampler.n_chains": "1",
     "gen.domain": "0,0.5",
@@ -64,12 +60,12 @@ class UsageError(ValueError):
     """Configuration or I/O problem attributable to the invocation."""
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise UsageError(f"expected a boolean, got {value!r}")
+def _update(cfg: dict[str, str], entries: dict[str, str], source: str) -> None:
+    """``cfg.update(entries)`` for keys of ``DEFAULTS`` and ``io.dataset``, which fit records."""
+    unknown = sorted(entries.keys() - DEFAULTS.keys() - {"io.dataset"})
+    if unknown:
+        raise UsageError(f"{source}: unknown config key {', '.join(map(repr, unknown))}")
+    cfg.update(entries)
 
 
 def _apply_set(cfg: dict[str, str], pairs) -> None:
@@ -77,7 +73,7 @@ def _apply_set(cfg: dict[str, str], pairs) -> None:
         if "=" not in pair:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        cfg[key.strip()] = value.strip()
+        _update(cfg, {key.strip(): value.strip()}, "--set")
 
 
 def load_config(args) -> dict[str, str]:
@@ -92,9 +88,10 @@ def load_config(args) -> dict[str, str]:
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
         try:
-            cfg.update(serialize.parse_kv_text(path.read_text()))
+            file_cfg = serialize.parse_kv_text(path.read_text())
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from exc
+        _update(cfg, file_cfg, str(path))
     _apply_set(cfg, getattr(args, "set", None))
     if getattr(args, "seed", None) is not None:
         cfg["sampler.seed"] = str(args.seed)
@@ -141,11 +138,7 @@ def sampler_from_config(cfg: dict[str, str]) -> SamplerConfig:
         n_sweeps=_get(cfg, "sampler.n_sweeps", int),
         n_intervals=_get(cfg, "sampler.n_intervals", int),
         burn_in_fraction=_get(cfg, "sampler.burn_in_fraction", float),
-        init=cfg["sampler.init"],
-        coarse_intervals=_get(cfg, "sampler.coarse_intervals", int),
-        coarse_sweeps=_get(cfg, "sampler.coarse_sweeps", int),
         seed=_get(cfg, "sampler.seed", int),
-        randomize_interval_order=_get(cfg, "sampler.randomize_interval_order", _parse_bool),
     )
 
 

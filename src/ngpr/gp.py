@@ -116,8 +116,8 @@ def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath |
     Xw, factor, alpha, log_lik = _factorize(data, path, kspec)
     Xw_test = warp_inputs(path, X_test)
     K_cross = build_gram(Xw, Xw_test, kspec)
-    # The test-test block is never factorized, so it gets no jitter.
-    K_test = build_gram(Xw_test, None, kspec, jitter=0.0)
+    # The test-test block is never factorized: built as a cross Gram, it gets no jitter.
+    K_test = build_gram(Xw_test, Xw_test, kspec)
     mean = K_cross.T @ alpha
     v = cho_solve(factor, K_cross)
     cov = K_test - K_cross.T @ v

@@ -63,25 +63,20 @@ def kernel_value(spec: KernelSpec, r):
     return spec.signal_variance * k
 
 
-def build_gram(points_a: np.ndarray, points_b: np.ndarray | None, spec: KernelSpec,
-               jitter: float | None = None) -> np.ndarray:
+def build_gram(points_a: np.ndarray, points_b: np.ndarray | None,
+               spec: KernelSpec) -> np.ndarray:
     """Kernel Gram matrix over Euclidean distances of warped coordinates.
 
     With ``points_b=None`` the matrix is built on ``points_a`` against
-    itself and ``jitter * signal_variance`` is added to the diagonal
-    (``jitter`` defaults to ``spec.jitter``).  Cross Gram matrices get no
-    stabilizer.
+    itself and ``spec.jitter * signal_variance`` is added to the diagonal.
+    Cross Gram matrices get no stabilizer, even when both point sets are
+    the same array.
     """
     a = as_point_matrix(points_a)
-    if points_b is None:
-        if a.shape[0] == 0:
-            return np.empty((0, 0))
-        gram = kernel_value(spec, cdist(a, a))
-        if jitter is None:
-            jitter = spec.jitter
-        gram[np.diag_indices_from(gram)] += jitter * spec.signal_variance
-        return gram
-    b = as_point_matrix(points_b)
+    b = a if points_b is None else as_point_matrix(points_b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.empty((a.shape[0], b.shape[0]))
-    return kernel_value(spec, cdist(a, b))
+    gram = kernel_value(spec, cdist(a, b))
+    if points_b is None:
+        gram[np.diag_indices_from(gram)] += spec.jitter * spec.signal_variance
+    return gram

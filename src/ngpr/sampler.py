@@ -1,20 +1,22 @@
 """Metropolis-Hastings-within-Gibbs inference over subordinator paths.
 
-The latent warp is updated one (dimension, interval) pair at a time:
-jumps inside the interval are deleted and redrawn from the subordinator
-prior restricted to the interval, and the move is accepted with
-probability ``min(1, exp(loglik_new - loglik_old))``.  Because proposals
-come from the prior conditional, the likelihood ratio alone is the
-correct MH weight.  Post burn-in, each full sweep draws one conditional
-GP posterior at the test points; these form an equally weighted Gaussian
-mixture whose moments are the regression output.  Each posterior is folded
-into the running mixture moments as it is drawn; only its path is kept.
+The chain has one schedule: it starts from ``init_identity`` and each sweep
+visits the dimensions in index order and, within a dimension, the intervals
+of an equal-width partition left to right.  There the jumps inside the
+interval are deleted and redrawn from the subordinator prior restricted to
+the interval, and the move is accepted with probability
+``min(1, exp(loglik_new - loglik_old))``.  Because proposals come from the
+prior conditional, the likelihood ratio alone is the correct MH weight.
+Post burn-in, each full sweep draws one conditional GP posterior at the
+test points; these form an equally weighted Gaussian mixture whose moments
+are the regression output.  Each posterior is folded into the running
+mixture moments as it is drawn; only its path is kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Sequence
 
@@ -25,22 +27,15 @@ from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood
 from .kernels import KernelSpec, as_point_matrix
 from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, assign_positions, simulate_jumps
 
-IDENTITY_INIT = "identity"
-COARSE_INIT = "coarse"
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sweep/interval budget, burn-in, initialization strategy and seed."""
+    """Sweeps, intervals per dimension, burn-in fraction and seed of the one chain schedule."""
 
     n_sweeps: int = 50
     n_intervals: int = 100
     burn_in_fraction: float = 0.2
-    init: str = IDENTITY_INIT
-    coarse_intervals: int = 5
-    coarse_sweeps: int = 10
     seed: int = 0
-    randomize_interval_order: bool = False
 
     def __post_init__(self):
         if self.n_sweeps < 1:
@@ -49,10 +44,6 @@ class SamplerConfig:
             raise ValueError(f"n_intervals must be at least 1, got {self.n_intervals}")
         if not 0.0 <= self.burn_in_fraction < 1.0:
             raise ValueError(f"burn_in_fraction must lie in [0, 1), got {self.burn_in_fraction}")
-        if self.init not in (IDENTITY_INIT, COARSE_INIT):
-            raise ValueError(f"unknown init strategy {self.init!r}")
-        if self.coarse_intervals < 1 or self.coarse_sweeps < 1:
-            raise ValueError("coarse_intervals and coarse_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -109,8 +100,11 @@ class MixturePosterior:
     log_cond_liks: tuple[float, ...]
     acceptance_rate: float
     trace: tuple[TraceStep, ...]
-    final_path: SubordinatorPath
-    domains: tuple[tuple[float, float], ...]
+
+    @property
+    def final_path(self) -> SubordinatorPath:
+        """The chain's last state: ``burn_in_fraction < 1`` always keeps the last sweep."""
+        return self.paths[-1]
 
     @property
     def aggregate_mean(self) -> np.ndarray:
@@ -224,30 +218,10 @@ def predictive_moments(mix: MixturePosterior,
 LogLikFn = Callable[[RegressionData, SubordinatorPath, KernelSpec], float]
 
 
-def _resolve_domains(data: RegressionData, X_test: np.ndarray,
-                     domains: Sequence[tuple[float, float]] | None) -> tuple[np.ndarray, tuple]:
-    """``X_test`` as a point matrix and the domains, by default the hull of all inputs."""
-    X_test = as_point_matrix(X_test)
-    if X_test.shape[1] != data.ndim:
-        raise ValueError(f"X_test has {X_test.shape[1]} columns, data has {data.ndim}")
-    if domains is None:
-        stacked = np.vstack([data.X, X_test]) if X_test.size else data.X
-        domains = [(float(stacked[:, k].min()), float(stacked[:, k].max()))
-                   for k in range(data.ndim)]
-    domains = tuple((float(lo), float(hi)) for lo, hi in domains)
-    if len(domains) != data.ndim:
-        raise ValueError(f"{len(domains)} domains for {data.ndim} dimensions")
-    return X_test, domains
-
-
 def _gibbs_sweeps(data: RegressionData, kspec: KernelSpec, lspec: LevyMeasureSpec,
                   cfg: SamplerConfig, rng: np.random.Generator, domains: tuple,
                   log_lik_fn: LogLikFn, path: SubordinatorPath):
-    """Run ``cfg.n_sweeps`` Gibbs sweeps from ``path``; yield (sweep, path, steps) after each.
-
-    A sweep cycles dimensions in index order and, within a dimension, the partition
-    intervals left to right (or in a fresh random order per sweep when configured).
-    """
+    """Run ``cfg.n_sweeps`` Gibbs sweeps from ``path``; yield (sweep, path, steps) after each."""
     try:
         current_ll = log_lik_fn(data, path, kspec)
     except NumericalError as exc:
@@ -256,9 +230,7 @@ def _gibbs_sweeps(data: RegressionData, kspec: KernelSpec, lspec: LevyMeasureSpe
     for sweep in range(cfg.n_sweeps):
         steps = []
         for dim in range(data.ndim):
-            order = (rng.permutation(cfg.n_intervals) if cfg.randomize_interval_order
-                     else range(cfg.n_intervals))
-            for j in order:
+            for j in range(cfg.n_intervals):
                 tau = (edges[dim][j], edges[dim][j + 1])
                 try:
                     candidate = propose(path, tau, dim, lspec, rng)
@@ -281,17 +253,21 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
                  log_lik_fn: LogLikFn | None = None) -> MixturePosterior:
     """Run one MH-within-Gibbs chain and aggregate per-sweep posteriors.
 
-    ``domains`` defaults to the per-dimension hull of the training and test
-    inputs.  ``log_lik_fn`` replaces the GP log conditional likelihood (used
-    by prior-recovery checks).
+    The chain starts from ``init_identity(domains, cfg.n_intervals)`` and sweeps dimensions
+    in order and intervals left to right; every sweep after burn-in adds its conditional
+    posterior at ``X_test`` to the mixture.  ``domains`` defaults to the per-dimension hull
+    of the training and test inputs.  ``log_lik_fn`` replaces the GP log conditional
+    likelihood (used by prior-recovery checks).
     """
-    X_test, domains = _resolve_domains(data, X_test, domains)
-    log_lik_fn = log_lik_fn or log_conditional_likelihood
-    if cfg.init == COARSE_INIT:
-        path = init_coarse(data, X_test, kspec, lspec, cfg, rng,
-                           domains=domains, log_lik_fn=log_lik_fn)
-    else:
-        path = init_identity(domains, cfg.n_intervals)
+    X_test = as_point_matrix(X_test)
+    if X_test.shape[1] != data.ndim:
+        raise ValueError(f"X_test has {X_test.shape[1]} columns, data has {data.ndim}")
+    if domains is None:
+        stacked = np.vstack([data.X, X_test])
+        domains = zip(stacked.min(axis=0), stacked.max(axis=0))
+    domains = tuple((float(lo), float(hi)) for lo, hi in domains)
+    if len(domains) != data.ndim:
+        raise ValueError(f"{len(domains)} domains for {data.ndim} dimensions")
     burn_in_sweeps = int(cfg.burn_in_fraction * cfg.n_sweeps)
 
     summary: MixtureSummary | None = None
@@ -301,7 +277,8 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     trace: list[TraceStep] = []
 
     for sweep, path, steps in _gibbs_sweeps(data, kspec, lspec, cfg, rng, domains,
-                                                log_lik_fn, path):
+                                            log_lik_fn or log_conditional_likelihood,
+                                            init_identity(domains, cfg.n_intervals)):
         trace.extend(steps)
         if sweep < burn_in_sweeps:
             continue
@@ -322,31 +299,7 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
         log_cond_liks=tuple(lls),
         acceptance_rate=sum(kept) / len(kept) if kept else 1.0,
         trace=tuple(trace),
-        final_path=path,
-        domains=domains,
     )
-
-
-def init_coarse(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
-                lspec: LevyMeasureSpec, cfg: SamplerConfig, rng: np.random.Generator,
-                domains: Sequence[tuple[float, float]] | None = None,
-                log_lik_fn: LogLikFn | None = None) -> SubordinatorPath:
-    """Short chain on a coarse interval grid; its last path seeds the main chain.
-
-    The chain computes no posterior; ``X_test`` only sets the default domains.
-    """
-    if cfg.coarse_intervals >= cfg.n_intervals:
-        raise ValueError(
-            f"coarse_intervals ({cfg.coarse_intervals}) must be smaller than "
-            f"n_intervals ({cfg.n_intervals})"
-        )
-    _, domains = _resolve_domains(data, X_test, domains)
-    coarse_cfg = replace(cfg, n_intervals=cfg.coarse_intervals, n_sweeps=cfg.coarse_sweeps)
-    path = init_identity(domains, cfg.coarse_intervals)
-    for _, path, _ in _gibbs_sweeps(data, kspec, lspec, coarse_cfg, rng, domains,
-                                       log_lik_fn or log_conditional_likelihood, path):
-        pass
-    return path
 
 
 def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:
@@ -360,8 +313,6 @@ def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:
         log_cond_liks=tuple(ll for mix in mixes for ll in mix.log_cond_liks),
         acceptance_rate=float(np.mean([m.acceptance_rate for m in mixes])),
         trace=tuple(step for mix in mixes for step in mix.trace),
-        final_path=mixes[-1].final_path,
-        domains=mixes[0].domains,
     )
 
 

@@ -319,3 +319,52 @@ def test_unknown_config_file_exits_2(workdir, capsys):
                    "--out", str(workdir)])
     assert rc == 2
     assert "absent.txt" in capsys.readouterr().err
+
+
+def test_unknown_set_key_exits_2(workdir, capsys):
+    out = workdir / "data_typo"
+    out.mkdir()
+    rc = cli.main(["gen", "-c", str(workdir / "config.txt"), "--out", str(out),
+                   "--set", "gen.n_point=12"])
+    assert rc == 2
+    assert "'gen.n_point'" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_unknown_config_file_key_exits_2(workdir, capsys):
+    old = workdir / "old.txt"
+    old.write_text(FAST_CONFIG + "sampler.init = coarse\n")
+    out = workdir / "out"
+    out.mkdir()
+    for argv in (["gen", "--out", str(out)],
+                 ["simulate", "--out", str(out / "path.csv")],
+                 ["fit", "--data", str(workdir / "absent.csv"), "--out", str(out)]):
+        rc = cli.main([argv[0], "-c", str(old), *argv[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2, argv
+        assert "old.txt" in err and "'sampler.init'" in err
+    assert not any(out.iterdir())
+
+
+def test_predict_checks_set_keys_but_not_the_bundle_config(workdir, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    # a bundle written with a key this version does not know still predicts
+    with open(fit_dir / "config.txt", "a") as fp:
+        fp.write("sampler.init = identity\n")
+    argv = ["predict", "--bundle", str(fit_dir), "--inputs", str(data_dir / "dataset.csv"),
+            "--out", str(workdir / "pred.csv")]
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--set", "sampler.init=coarse"]) == 2
+    assert "'sampler.init'" in capsys.readouterr().err
+    # the dataset path that fit records is a known key
+    assert cli.main([*argv, "--set", f"io.dataset={data_dir / 'dataset.csv'}"]) == 0
+
+
+def test_sampler_config_keys_are_the_sampler_config_fields():
+    from dataclasses import fields
+
+    from ngpr import SamplerConfig
+
+    keys = {key.partition(".")[2] for key in cli.DEFAULTS if key.startswith("sampler.")}
+    assert keys - {"n_chains"} == {f.name for f in fields(SamplerConfig)}

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
-                  acceptance_probability, generate, init_coarse, init_identity,
-                  log_conditional_likelihood, mixture_moments, partition_edges,
+from ngpr import (KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
+                  acceptance_probability, init_identity, mixture_moments, partition_edges,
                   pool_chains, posterior, predictive_moments, propose, run_mh_gibbs)
 from ngpr.gp import ConditionalPosterior
 
@@ -358,36 +357,10 @@ def test_predictive_single_sample():
 
 
 # ---------------------------------------------------------------------------
-# coarse initialization
+# sweep schedule
 # ---------------------------------------------------------------------------
 
-def test_coarse_init_returns_valid_path():
-    from ngpr import SamplerConfig
-
-    rng = np.random.default_rng(15)
-    data = _toy_data(rng)
-    cfg = SamplerConfig(n_sweeps=4, n_intervals=12, coarse_intervals=3, coarse_sweeps=3)
-    path = init_coarse(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(5),
-                       domains=[(0.0, 1.0)])
-    js = path.jump_sets[0]
-    assert np.all(js.magnitudes > 0)
-    assert np.all((js.positions >= 0.0) & (js.positions <= 1.0))
-    grid = np.linspace(0, 1, 101)
-    assert np.all(np.diff(path.values(grid)) >= 0)
-
-
-def test_coarse_init_requires_fewer_intervals():
-    from ngpr import SamplerConfig
-
-    rng = np.random.default_rng(16)
-    data = _toy_data(rng)
-    cfg = SamplerConfig(n_sweeps=2, n_intervals=3, coarse_intervals=3)
-    with pytest.raises(ValueError):
-        init_coarse(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(0),
-                    domains=[(0.0, 1.0)])
-
-
-def test_single_coarse_interval_redraws_whole_domain():
+def test_single_interval_redraws_whole_domain():
     current = init_identity([(0.0, 1.0)], 5)
     prop = propose(current, tuple(partition_edges((0.0, 1.0), 1)), 0, LSPEC,
                    np.random.default_rng(6))
@@ -396,36 +369,7 @@ def test_single_coarse_interval_redraws_whole_domain():
     assert not np.intersect1d(js.positions, current.jump_sets[0].positions).size
 
 
-def test_coarse_vs_identity_init_logged_comparison():
-    """Soft performance comparison; logged, not asserted."""
-    from ngpr import SamplerConfig
-
-    from ngpr import normalize_scale
-
-    rng = np.random.default_rng(20)
-    kspec = KernelSpec("se", 0.1, 1.0)
-    lspec = LevyMeasureSpec("tempered_stable",
-                            C=normalize_scale(0.8, 5.0, "tempered_stable"),
-                            alpha=0.8, beta=5.0, n_terms=300)
-    gspec = GenSpec(domains=((0.0, 0.5),), n_points=40, n_observed=40, kernel=kspec,
-                    levy=lspec, noise_std=0.1, seed=2)
-    ds = generate(gspec, rng)
-    data = RegressionData(ds.X, ds.y, 0.01)
-    results = {}
-    for init in ("identity", "coarse"):
-        cfg = SamplerConfig(n_sweeps=15, n_intervals=20, coarse_intervals=4,
-                            coarse_sweeps=5, init=init, burn_in_fraction=0.0)
-        mix = run_mh_gibbs(data, ds.X, kspec, lspec, cfg, np.random.default_rng(3),
-                           domains=gspec.domains)
-        lls = mix.log_cond_liks
-        band = mix.avg_log_cond_lik - mix.std_log_cond_lik
-        reached = next((i for i, v in enumerate(lls) if v >= band), len(lls))
-        results[init] = (reached, mix.avg_log_cond_lik)
-    print(f"[INFO] sweeps to reach own avg-ll band: identity={results['identity']}, "
-          f"coarse={results['coarse']}")
-
-
-def test_coarse_chain_computes_no_posterior(monkeypatch):
+def test_burn_in_sweeps_compute_no_posterior(monkeypatch):
     from ngpr import SamplerConfig, sampler
 
     calls = []
@@ -437,11 +381,11 @@ def test_coarse_chain_computes_no_posterior(monkeypatch):
 
     monkeypatch.setattr(sampler, "posterior", counted)
     data = _toy_data(np.random.default_rng(24))
-    cfg = SamplerConfig(n_sweeps=4, n_intervals=12, burn_in_fraction=0.0, init="coarse",
-                        coarse_intervals=3, coarse_sweeps=5)
+    cfg = SamplerConfig(n_sweeps=5, n_intervals=12, burn_in_fraction=0.4)
     mix = run_mh_gibbs(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(25),
                        domains=[(0.0, 1.0)])
-    assert len(calls) == len(mix.paths) == 4
+    assert mix.sweeps == (2, 3, 4)
+    assert len(calls) == len(mix.paths) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +399,7 @@ def test_pool_chains_combines_samples():
     assert pooled.sweeps == mix1.sweeps + mix2.sweeps
     assert pooled.log_cond_liks == mix1.log_cond_liks + mix2.log_cond_liks
     assert pooled.moments.count == len(pooled.paths) == len(mix1.paths) + len(mix2.paths)
+    assert pooled.final_path is mix2.paths[-1]
     mean, cov, _ = _recomputed_moments(data, pooled.paths)
     np.testing.assert_allclose(pooled.aggregate_mean, mean, atol=1e-12)
     np.testing.assert_allclose(pooled.aggregate_cov, cov, atol=1e-12)
