@@ -254,7 +254,7 @@ def cmd_fit(args) -> int:
                          "is only meaningful for gen")
     scfg = sampler_from_config(cfg)
     n_chains = _get(cfg, "sampler.n_chains", int)
-    cfg["levy.c"] = repr(lspec.C)
+    cfg["levy.c"] = repr(float(lspec.C))
 
     data = RegressionData(X[observed], y[observed], noise_variance)
     mix, chains = run_chains(data, X, kspec, lspec, scfg, n_chains=n_chains, domains=domains)
@@ -281,6 +281,7 @@ def cmd_fit(args) -> int:
         "n_samples": len(mix.sweeps),
         "jumps_per_path": {"min": min(jump_counts), "mean": float(np.mean(jump_counts)),
                            "max": max(jump_counts)},
+        "likelihood": mix.likelihood,
         "n_chains": n_chains,
         "seed": scfg.seed,
         "noise_variance": noise_variance,

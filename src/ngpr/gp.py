@@ -3,8 +3,11 @@
 Given a fixed subordinator path the observations follow an ordinary GP on
 the warped coordinates, so the posterior mean/covariance at test points
 and the log conditional likelihood (the Metropolis-Hastings weight) have
-closed forms.  Everything goes through a single Cholesky factorization of
-the noisy training Gram matrix; no explicit inverses.
+closed forms.  Each function here goes through a single Cholesky
+factorization of the noisy training Gram matrix; no explicit inverses.
+These are the exact reference computations: the sampler scores its
+Matern-5/2 proposals on 1-D data with ``statespace.StateSpaceLikelihood``
+instead, an O(n) Kalman filter of the same model.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import NumericalError
 from .kernels import KernelSpec, as_point_matrix, build_gram
@@ -119,8 +122,10 @@ def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath |
     # The test-test block is never factorized: built as a cross Gram, it gets no jitter.
     K_test = build_gram(Xw_test, Xw_test, kspec)
     mean = K_cross.T @ alpha
-    v = cho_solve(factor, K_cross)
-    cov = K_test - K_cross.T @ v
+    V = solve_triangular(factor[0], K_cross, lower=True, check_finite=False)
+    # gemm, then symmetrize: numpy sends V.T @ V to a threaded syrk, whose idle OpenBLAS
+    # threads slow the chain's small-matrix work afterwards unless BLAS runs one thread.
+    cov = K_test - V.T @ V.copy()
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     if diag.size and diag.min() < _NEG_VARIANCE_SLACK:

@@ -7,6 +7,14 @@ interval are deleted and redrawn from the subordinator prior restricted to
 the interval, and the move is accepted with probability
 ``min(1, exp(loglik_new - loglik_old))``.  Because proposals come from the
 prior conditional, the likelihood ratio alone is the correct MH weight.
+The likelihood is an object the sweep talks to: it is told the path at the
+start of each sweep, scores each candidate for its (dimension, interval)
+and is told whether the candidate was accepted.  With a Matern-5/2 kernel
+on 1-D data it is ``statespace.StateSpaceLikelihood``, which costs each
+proposal only the points in and next to its interval; every other case
+(the squared-exponential kernel has no finite state form, and
+multi-dimensional inputs have no order) evaluates the dense
+``log_conditional_likelihood`` of the whole candidate.
 Post burn-in, each full sweep draws one conditional GP posterior at the
 test points; these form an equally weighted Gaussian mixture whose moments
 are the regression output.  Each posterior is folded into the running
@@ -24,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
-from .kernels import KernelSpec, as_point_matrix
+from .kernels import MATERN52, KernelSpec, as_point_matrix
 from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, assign_positions, simulate_jumps
 
 
@@ -92,6 +100,8 @@ class MixturePosterior:
     ``posterior(data, X_test, paths[k], kspec)``, drawn at sweep
     ``sweeps[k]`` with log conditional likelihood ``log_cond_liks[k]``.
     ``acceptance_rate`` counts proposals from post burn-in sweeps only.
+    ``likelihood`` names the chain's likelihood object: ``"state_space"`` or
+    ``"dense"``.
     """
 
     moments: MixtureSummary
@@ -100,6 +110,7 @@ class MixturePosterior:
     log_cond_liks: tuple[float, ...]
     acceptance_rate: float
     trace: tuple[TraceStep, ...]
+    likelihood: str
 
     @property
     def final_path(self) -> SubordinatorPath:
@@ -218,29 +229,79 @@ def predictive_moments(mix: MixturePosterior,
 LogLikFn = Callable[[RegressionData, SubordinatorPath, KernelSpec], float]
 
 
-def _gibbs_sweeps(data: RegressionData, kspec: KernelSpec, lspec: LevyMeasureSpec,
-                  cfg: SamplerConfig, rng: np.random.Generator, domains: tuple,
-                  log_lik_fn: LogLikFn, path: SubordinatorPath):
-    """Run ``cfg.n_sweeps`` Gibbs sweeps from ``path``; yield (sweep, path, steps) after each."""
+class DenseLikelihood:
+    """``log_lik_fn(data, path, kspec)`` of every whole candidate path; keeps no state.
+
+    Serves any kernel and dimension, and the ``log_lik_fn`` hook of
+    ``run_mh_gibbs``.  The sweep calls it as it calls
+    ``StateSpaceLikelihood``: ``start_sweep`` and ``decide`` do nothing.
+    """
+
+    name = "dense"
+
+    def __init__(self, data: RegressionData, kspec: KernelSpec, log_lik_fn: LogLikFn):
+        self.data, self.kspec, self.log_lik_fn = data, kspec, log_lik_fn
+
+    def total(self, path: SubordinatorPath) -> float:
+        return self.log_lik_fn(self.data, path, self.kspec)
+
+    def start_sweep(self, path: SubordinatorPath) -> None:
+        pass
+
+    def score(self, candidate: SubordinatorPath, dim: int, interval) -> float:
+        return self.total(candidate)
+
+    def decide(self, accepted: bool) -> None:
+        pass
+
+
+def chain_likelihood(data: RegressionData, kspec: KernelSpec,
+                     log_lik_fn: LogLikFn | None = None):
+    """The chain's likelihood object, chosen from the data and kernel alone.
+
+    A ``log_lik_fn`` hook wins; otherwise a Matern-5/2 kernel on 1-D data
+    takes the state-space filter and everything else the dense Cholesky.
+    """
+    if log_lik_fn is None and kspec.family == MATERN52 and data.ndim == 1:
+        from .statespace import StateSpaceLikelihood  # loaded on first use: SE fits never need it
+
+        return StateSpaceLikelihood(data, kspec)
+    return DenseLikelihood(data, kspec, log_lik_fn or log_conditional_likelihood)
+
+
+def _gibbs_sweeps(lik, lspec: LevyMeasureSpec, cfg: SamplerConfig, rng: np.random.Generator,
+                  domains: tuple, path: SubordinatorPath):
+    """Run ``cfg.n_sweeps`` Gibbs sweeps from ``path``; yield (sweep, path, steps) after each.
+
+    ``lik`` is a ``DenseLikelihood`` or ``StateSpaceLikelihood``: its
+    ``total`` scores the starting path, ``start_sweep`` is told the path at
+    the start of every sweep, ``score`` rates each candidate for its
+    (dimension, interval), and ``decide`` is told whether it was accepted.
+    """
     try:
-        current_ll = log_lik_fn(data, path, kspec)
+        current_ll = lik.total(path)
     except NumericalError as exc:
         raise NumericalError(f"chain initialization: {exc}") from exc
     edges = [partition_edges(dom, cfg.n_intervals) for dom in domains]
     for sweep in range(cfg.n_sweeps):
         steps = []
-        for dim in range(data.ndim):
+        try:
+            lik.start_sweep(path)
+        except NumericalError as exc:
+            raise NumericalError(f"sweep {sweep}, start: {exc}") from exc
+        for dim in range(len(domains)):
             for j in range(cfg.n_intervals):
                 tau = (edges[dim][j], edges[dim][j + 1])
                 try:
                     candidate = propose(path, tau, dim, lspec, rng)
-                    new_ll = log_lik_fn(data, candidate, kspec)
+                    new_ll = lik.score(candidate, dim, tau)
                     prob = acceptance_probability(new_ll, current_ll)
+                    took = rng.random() < prob
+                    lik.decide(took)
                 except NumericalError as exc:
                     raise NumericalError(
                         f"sweep {sweep}, dim {dim}, interval [{tau[0]:g}, {tau[1]:g}): {exc}"
                     ) from exc
-                took = rng.random() < prob
                 if took:
                     path, current_ll = candidate, new_ll
                 steps.append(TraceStep(sweep, current_ll, bool(took)))
@@ -257,7 +318,8 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     in order and intervals left to right; every sweep after burn-in adds its conditional
     posterior at ``X_test`` to the mixture.  ``domains`` defaults to the per-dimension hull
     of the training and test inputs.  ``log_lik_fn`` replaces the GP log conditional
-    likelihood (used by prior-recovery checks).
+    likelihood (used by prior-recovery checks); without it, ``chain_likelihood`` picks the
+    state-space filter or the dense Cholesky.
     """
     X_test = as_point_matrix(X_test)
     if X_test.shape[1] != data.ndim:
@@ -276,8 +338,8 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     lls: list[float] = []
     trace: list[TraceStep] = []
 
-    for sweep, path, steps in _gibbs_sweeps(data, kspec, lspec, cfg, rng, domains,
-                                            log_lik_fn or log_conditional_likelihood,
+    lik = chain_likelihood(data, kspec, log_lik_fn)
+    for sweep, path, steps in _gibbs_sweeps(lik, lspec, cfg, rng, domains,
                                             init_identity(domains, cfg.n_intervals)):
         trace.extend(steps)
         if sweep < burn_in_sweeps:
@@ -299,6 +361,7 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
         log_cond_liks=tuple(lls),
         acceptance_rate=sum(kept) / len(kept) if kept else 1.0,
         trace=tuple(trace),
+        likelihood=lik.name,
     )
 
 
@@ -313,6 +376,7 @@ def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:
         log_cond_liks=tuple(ll for mix in mixes for ll in mix.log_cond_liks),
         acceptance_rate=float(np.mean([m.acceptance_rate for m in mixes])),
         trace=tuple(step for mix in mixes for step in mix.trace),
+        likelihood=mixes[0].likelihood,
     )
 
 

@@ -105,6 +105,26 @@ def test_fit_summary_schema_and_outputs(workdir):
     assert "io.dataset" in echoed
 
 
+@pytest.mark.parametrize("family, likelihood", [("se", "dense"), ("matern52", "state_space")])
+def test_fit_summary_reports_the_likelihood(workdir, family, likelihood):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir, extra=("--set", f"kernel.family={family}",
+                                             "--set", "sampler.n_sweeps=2"))
+    summary = json.loads((fit_dir / "summary.json").read_text())
+    assert summary["likelihood"] == likelihood
+
+
+def test_fit_config_echo_is_a_valid_gen_config(workdir):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    echoed = serialize.parse_kv_text((fit_dir / "config.txt").read_text())
+    assert float(echoed["levy.c"]) > 0
+    out = workdir / "regen"
+    out.mkdir()
+    assert cli.main(["gen", "-c", str(fit_dir / "config.txt"), "--out", str(out)]) == 0
+    assert (out / "dataset.csv").read_bytes() == (data_dir / "dataset.csv").read_bytes()
+
+
 def test_fit_is_byte_deterministic(workdir):
     data_dir = _gen(workdir)
     f1 = _fit(workdir, data_dir, "fit1")
