@@ -26,7 +26,7 @@ from .gp import (RegressionData, gp_log_marginal_likelihood, grid_search_length_
                  log_conditional_likelihood, posterior)
 from .kernels import KernelSpec
 from .levy import LevyMeasureSpec, normalize_scale, simulate_path
-from .sampler import MixtureSummary, SamplerConfig, combine, run_chains
+from .sampler import MixtureSummary, SamplerConfig, chain_likelihood, combine, run_chains
 
 SEED_ENV_VAR = "NGPR_SEED"
 
@@ -347,11 +347,12 @@ def cmd_predict(args) -> int:
             f"{bad_rows.size} input rows outside the trained domain "
             f"{cfg['fit.domain']}: rows {bad_rows[:10].tolist()}")
 
+    lik = chain_likelihood(data, kspec)
     summary = None
     for path_file in sorted(glob.glob(str(bundle / "paths*.csv"))):
         with open(path_file, newline="") as fp:
             for _sweep, sample_path in serialize.read_sampled_paths_csv(fp, domains):
-                post = posterior(data, X_new, sample_path, kspec)
+                post = lik.posterior(sample_path, X_new)
                 summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
     if summary is None:
         raise UsageError(f"no stored subordinator samples (paths*.csv) in {bundle}")

@@ -5,9 +5,11 @@ the warped coordinates, so the posterior mean/covariance at test points
 and the log conditional likelihood (the Metropolis-Hastings weight) have
 closed forms.  Each function here goes through a single Cholesky
 factorization of the noisy training Gram matrix; no explicit inverses.
-These are the exact reference computations: the sampler scores its
-Matern-5/2 proposals on 1-D data with ``statespace.StateSpaceLikelihood``
-instead, an O(n) Kalman filter of the same model.
+These are the exact reference computations.  With a Matern-5/2 kernel on
+1-D data the sampler scores its proposals and draws its stored-sweep
+posteriors with ``statespace.StateSpaceLikelihood`` instead, a Kalman
+filter and smoother of the same model; ``posterior`` remains the dense
+reference and serves every other chain and the plain-GP baseline.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ proposal only the points in and next to its interval; every other case
 multi-dimensional inputs have no order) evaluates the dense
 ``log_conditional_likelihood`` of the whole candidate.
 Post burn-in, each full sweep draws one conditional GP posterior at the
-test points; these form an equally weighted Gaussian mixture whose moments
-are the regression output.  Each posterior is folded into the running
-mixture moments as it is drawn; only its path is kept.
+test points, which the likelihood object also gives: the state-space one
+by Rauch-Tung-Striebel smoothing, the dense one through ``gp.posterior``.
+These form an equally weighted Gaussian mixture whose moments are the
+regression output.  Each posterior is folded into the running mixture
+moments as it is drawn; only its path is kept.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def combine(a: MixtureSummary | None, b: MixtureSummary) -> MixtureSummary:
 class MixturePosterior:
     """Mixture of the conditional posteriors drawn post burn-in, one per sweep.
 
-    Only the mixture's moments are kept: component ``k`` is
-    ``posterior(data, X_test, paths[k], kspec)``, drawn at sweep
+    Only the mixture's moments are kept: component ``k`` is the conditional
+    posterior ``posterior(data, X_test, paths[k], kspec)``, drawn at sweep
     ``sweeps[k]`` with log conditional likelihood ``log_cond_liks[k]``.
     ``acceptance_rate`` counts proposals from post burn-in sweeps only.
     ``likelihood`` names the chain's likelihood object: ``"state_space"`` or
@@ -234,7 +236,8 @@ class DenseLikelihood:
 
     Serves any kernel and dimension, and the ``log_lik_fn`` hook of
     ``run_mh_gibbs``.  The sweep calls it as it calls
-    ``StateSpaceLikelihood``: ``start_sweep`` and ``decide`` do nothing.
+    ``StateSpaceLikelihood``: ``start_sweep`` and ``decide`` do nothing,
+    and ``posterior`` is this module's ``posterior``, looked up per call.
     """
 
     name = "dense"
@@ -253,6 +256,9 @@ class DenseLikelihood:
 
     def decide(self, accepted: bool) -> None:
         pass
+
+    def posterior(self, path: SubordinatorPath, X_test: np.ndarray) -> ConditionalPosterior:
+        return posterior(self.data, X_test, path, self.kspec)
 
 
 def chain_likelihood(data: RegressionData, kspec: KernelSpec,
@@ -345,7 +351,7 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
         if sweep < burn_in_sweeps:
             continue
         try:
-            post = posterior(data, X_test, path, kspec)
+            post = lik.posterior(path, X_test)
         except NumericalError as exc:
             raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
         summary = combine(summary, MixtureSummary(1, post.mean, post.cov))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ngpr import cli, serialize
+from ngpr.statespace import StateSpaceLikelihood
 
 FAST_CONFIG = """
 gen.domain = 0,0.5
@@ -200,6 +201,30 @@ def test_predict_at_training_inputs_matches_fit(workdir):
     np.testing.assert_allclose(mean_p, mean_f, atol=1e-10)
     np.testing.assert_allclose(post_p, post_f, atol=1e-10)
     np.testing.assert_allclose(pred_p, pred_f, atol=1e-10)
+
+
+def test_matern_predict_at_dataset_inputs_reproduces_the_fit(workdir, monkeypatch):
+    """Fit and predict both take the state-space posterior of a Matern-5/2 bundle."""
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir, extra=("--set", "kernel.family=matern52"))
+    summary = json.loads((fit_dir / "summary.json").read_text())
+    assert summary["likelihood"] == "state_space"
+    smoothed = []
+    real = StateSpaceLikelihood.posterior
+    monkeypatch.setattr(StateSpaceLikelihood, "posterior",
+                        lambda self, *args: smoothed.append(1) or real(self, *args))
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(fit_dir),
+                   "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
+    assert rc == 0
+    assert len(smoothed) == summary["n_samples"]
+    with open(out_csv) as fp:
+        predicted = serialize.read_posterior_csv(fp)
+    with open(fit_dir / "posterior.csv") as fp:
+        fitted = serialize.read_posterior_csv(fp)
+    np.testing.assert_array_equal(predicted[0], fitted[0])
+    for p, f in zip(predicted[1:], fitted[1:]):
+        np.testing.assert_allclose(p, f, rtol=1e-12, atol=0)
 
 
 def test_predict_empty_inputs_gives_header_only(workdir):

@@ -1,4 +1,4 @@
-"""State-space Matern-5/2 likelihood: dense oracle, local scores, dispatch and failures."""
+"""State-space Matern-5/2 likelihood and posterior: oracles, local scores, dispatch, failures."""
 
 import numpy as np
 import pytest
@@ -90,7 +90,86 @@ def test_scores_match_dense_likelihood_on_the_sampler_schedule():
     assert 0 < fast.acceptance_rate < 1
     np.testing.assert_allclose([s.log_cond_lik for s in fast.trace],
                                [s.log_cond_lik for s in dense.trace], rtol=1e-9)
-    np.testing.assert_array_equal(fast.aggregate_mean, dense.aggregate_mean)
+    # the smoother and the dense Cholesky give the same posteriors up to rounding
+    for a, b in ((fast.aggregate_mean, dense.aggregate_mean),
+                 (fast.aggregate_cov, dense.aggregate_cov)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+    np.testing.assert_allclose(fast.log_cond_liks, dense.log_cond_liks, rtol=1e-9)
+
+
+def _oracle_posterior(data, path, kspec, X_test):
+    return oracles.dense_gp_posterior(warp_inputs(path, data.X), data.y,
+                                      warp_inputs(path, X_test),
+                                      lambda d: kernel_value(kspec, d), data.noise_variance,
+                                      kspec.jitter * kspec.signal_variance)
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)), initial=0.0))
+
+
+def test_posterior_matches_the_dense_oracle():
+    """Smoothed mean, full covariance and log-likelihood against the explicit-inverse GP."""
+    rng = np.random.default_rng(2031)
+    worst = 0.0
+    seen = {"below first": 0, "above last": 0, "at a training value": 0, "duplicates": 0,
+            "m=0": 0, "m=1": 0, "n=1": 0}
+    for i in range(18):
+        data, kspec, _ = _instance(rng)
+        if i % 3 == 1:  # no training point right of 0.7, so test points can warp past the last
+            keep = data.X[:, 0] < 0.7
+            data = RegressionData(data.X[keep], data.y[keep], data.noise_variance)
+        elif i % 6 == 2:
+            data = RegressionData(data.X[:1], data.y[:1], data.noise_variance)
+        path = init_identity([(0.0, 1.0)], N_INTERVALS) if i % 4 == 0 else \
+            simulate_path(LSPEC, [(0.0, 1.0)], rng)
+        if i % 9 == 5:
+            X_test = np.empty(0)
+        elif i % 9 == 8:
+            X_test = rng.uniform(0.0, 1.0, 1)
+        else:
+            X_test = np.concatenate((rng.uniform(0.0, 1.0, int(rng.integers(1, 30))),
+                                     data.X[:3, 0], [0.0, 1.0, EDGES[3]]))
+            X_test = rng.permutation(np.concatenate((X_test, X_test[:4])))
+        post = StateSpaceLikelihood(data, kspec).posterior(path, X_test)
+        mean, cov, ll = _oracle_posterior(data, path, kspec, X_test)
+        assert post.mean.shape == (X_test.size,) and post.cov.shape == (X_test.size,) * 2
+        worst = max(worst, _max_rel(post.mean, mean), _max_rel(post.cov, cov),
+                    _rel(post.log_cond_lik, ll))
+        w, u = warp_inputs(path, data.X)[:, 0], warp_inputs(path, X_test)[:, 0]
+        seen["below first"] += int(np.sum(u < w.min()))
+        seen["above last"] += int(np.sum(u > w.max()))
+        seen["at a training value"] += int(np.sum(np.isin(u, w)))
+        seen["duplicates"] += X_test.size - np.unique(X_test).size
+        seen["m=0"] += X_test.size == 0
+        seen["m=1"] += X_test.size == 1
+        seen["n=1"] += data.n == 1
+    assert worst <= 1e-8, worst
+    assert min(seen.values()) > 0, seen
+
+
+def test_posterior_between_sweeps_leaves_the_scores_alone():
+    rng = np.random.default_rng(11)
+    data, kspec, _ = _instance(rng)
+    start = simulate_path(LSPEC, [(0.0, 1.0)], rng)
+    runs = []
+    for with_posterior in (False, True):
+        lik, path, local = StateSpaceLikelihood(data, kspec), start, np.random.default_rng(12)
+        scores = []
+        for _sweep in range(3):
+            lik.start_sweep(path)
+            for j in range(N_INTERVALS):
+                tau = (EDGES[j], EDGES[j + 1])
+                candidate = propose(path, tau, 0, LSPEC, local)
+                scores.append(lik.score(candidate, 0, tau))
+                accepted = bool(local.random() < 0.5)
+                lik.decide(accepted)
+                if accepted:
+                    path = candidate
+            if with_posterior:
+                lik.posterior(path, data.X)
+        runs.append(scores)
+    assert runs[0] == runs[1]
 
 
 def test_intervals_must_be_scored_left_to_right():
@@ -121,6 +200,18 @@ def _counted_dense(monkeypatch):
     return calls
 
 
+def _counted_posterior(monkeypatch):
+    calls = []
+    real = sampler.posterior
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(sampler, "posterior", counted)
+    return calls
+
+
 def _fit(data, family, **kwargs):
     cfg = SamplerConfig(n_sweeps=2, n_intervals=5, burn_in_fraction=0.0)
     domains = [(0.0, 1.0)] * data.ndim
@@ -129,24 +220,25 @@ def _fit(data, family, **kwargs):
 
 
 def test_matern_1d_takes_the_state_space_likelihood(monkeypatch):
-    calls = _counted_dense(monkeypatch)
+    calls, posteriors = _counted_dense(monkeypatch), _counted_posterior(monkeypatch)
     rng = np.random.default_rng(2)
     mix = _fit(RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1), "matern52")
     assert mix.likelihood == "state_space"
-    assert calls == []
+    assert calls == [] and posteriors == []
 
 
 @pytest.mark.parametrize("family, ndim", [("se", 1), ("matern52", 2)])
 def test_se_and_multi_dimensional_data_stay_dense(monkeypatch, family, ndim):
-    calls = _counted_dense(monkeypatch)
+    calls, posteriors = _counted_dense(monkeypatch), _counted_posterior(monkeypatch)
     rng = np.random.default_rng(3)
     mix = _fit(RegressionData(rng.uniform(0, 1, (15, ndim)), rng.normal(size=15), 0.1), family)
     assert mix.likelihood == "dense"
     assert len(calls) == 1 + 2 * 5 * ndim
+    assert len(posteriors) == len(mix.paths) == 2
 
 
 def test_log_lik_fn_hook_wins_over_the_state_space_path(monkeypatch):
-    calls = _counted_dense(monkeypatch)
+    calls, posteriors = _counted_dense(monkeypatch), _counted_posterior(monkeypatch)
     hooked = []
 
     def flat(data, path, kspec):
@@ -160,6 +252,7 @@ def test_log_lik_fn_hook_wins_over_the_state_space_path(monkeypatch):
     assert mix.acceptance_rate == 1.0
     assert len(hooked) == 1 + 2 * 5
     assert calls == []
+    assert len(posteriors) == len(mix.paths) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +272,43 @@ def test_non_positive_innovation_variance_raises_with_context(monkeypatch):
     with pytest.raises(NumericalError, match=r"sweep 0, dim 0, interval \[0, 0\.2\): "
                                              r"non-positive innovation variance .* of n=15 "
                                              r"\(warped gap .*predicted covariance"):
+        _fit(data, "matern52")
+
+
+def _corrupt_posterior(monkeypatch, corrupt):
+    real = StateSpaceLikelihood.posterior
+
+    def broken(self, path, X_test):
+        corrupt(self)
+        return real(self, path, X_test)
+
+    monkeypatch.setattr(StateSpaceLikelihood, "posterior", broken)
+
+
+def test_predicted_covariance_not_positive_definite_raises_with_context(monkeypatch):
+    def rank_one_prior(lik):  # the stationary covariance of the first state component alone
+        lik._pinf = np.diag([1.0, 0.0, 0.0])
+
+    _corrupt_posterior(monkeypatch, rank_one_prior)
+    rng = np.random.default_rng(6)
+    data = RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1)
+    with pytest.raises(NumericalError, match=r"(?s)posterior at sweep 0: predicted covariance .* "
+                                             r"is not positive definite at sorted point \d+ of "
+                                             r"n=15 \(warped gap .*\); noise_variance=0\.1"):
+        _fit(data, "matern52")
+
+
+def test_negative_posterior_variance_raises_with_context(monkeypatch):
+    def negative_noise(lik):  # the filtered variance of the one point becomes -1
+        lik._r = -0.5
+
+    _corrupt_posterior(monkeypatch, negative_noise)
+    data = RegressionData([0.4], [0.3], 0.1)
+    with pytest.raises(NumericalError, match=r"posterior at sweep 0: posterior variance "
+                                             r"-1\.000e\+00 below tolerance -1e-10 at sorted "
+                                             r"test point 0 of m=1, right of 1 of n=1 sorted "
+                                             r"points \(warped gap 0\.000e\+00\); "
+                                             r"noise_variance=0\.1"):
         _fit(data, "matern52")
 
 
