@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
 from .kernels import MATERN52, KernelSpec, as_point_matrix
-from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, assign_positions, simulate_jumps
+from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, simulate_jumps
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,9 @@ def combine(a: MixtureSummary | None, b: MixtureSummary) -> MixtureSummary:
         return b
     n = a.count + b.count
     delta = b.mean - a.mean
-    scatter = a.scatter + b.scatter
-    scatter += np.outer(delta, delta * (a.count * b.count / n))
+    scatter = np.multiply.outer(delta, delta * (a.count * b.count / n))
+    scatter += a.scatter
+    scatter += b.scatter
     return MixtureSummary(n, a.mean + delta * (b.count / n), scatter)
 
 
@@ -176,7 +177,10 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
     restricted to the interval, whatever the partition.  The jump set is
     sorted, so the removed jumps are one slice, found by binary search; the
     result joins the jumps left of it, the fresh jumps and the jumps right
-    of it, and stays sorted.  Every other dimension keeps its ``JumpSet`` object.
+    of it.  The fresh positions, drawn as ``assign_positions`` draws them,
+    lie in ``[lo, hi)`` and are spliced unsorted: the new set's stable sort
+    places them, so one ``JumpSet`` is built per proposal.  Every other
+    dimension keeps its ``JumpSet`` object.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -184,12 +188,11 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
     js = current.jump_sets[dim]
     start = np.searchsorted(js.positions, lo, side="left")
     stop = np.searchsorted(js.positions, hi, side="right" if hi >= js.domain[1] else "left")
-    fresh = assign_positions(simulate_jumps(lspec, hi - lo, rng, js.domain[1] - js.domain[0]),
-                             (lo, hi), rng)
-    spliced = JumpSet(
-        np.concatenate((js.positions[:start], fresh.positions, js.positions[stop:])),
-        np.concatenate((js.magnitudes[:start], fresh.magnitudes, js.magnitudes[stop:])),
-        js.domain)
+    magnitudes = simulate_jumps(lspec, hi - lo, rng, js.domain[1] - js.domain[0])
+    positions = rng.uniform(lo, hi, size=magnitudes.size)
+    spliced = JumpSet(np.concatenate((js.positions[:start], positions, js.positions[stop:])),
+                      np.concatenate((js.magnitudes[:start], magnitudes, js.magnitudes[stop:])),
+                      js.domain)
     return SubordinatorPath(current.jump_sets[:dim] + (spliced,) + current.jump_sets[dim + 1:])
 
 

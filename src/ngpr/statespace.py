@@ -21,13 +21,28 @@ interval and at its two edges: every point right of it shifts by one
 constant.  ``StateSpaceLikelihood`` therefore keeps backward information
 messages ``beta_i(s) = p(y_{i+1:} | s_i = s)``, computed once per sweep, and
 the filtered states of the prefix left of the current interval.  Scoring a
-proposal filters the interval's points and the first point after it, then
-closes with ``log int beta_b(s) N(s; m_b, P_b) ds``.
+proposal filters the interval's points and the first point after it, one
+point at a time, then closes with ``log int beta_b(s) N(s; m_b, P_b) ds``.
+
+The whole-path passes are associative scans (Sarkka & Garcia-Fernandez 2021,
+*Temporal parallelization of Bayesian smoothers*; Corenflos, Zhao & Sarkka
+2022, *Gaussian process regression in logarithmic time*).  Each sorted point
+has a filtering element ``(A, b, C, eta, J, z)``: the Gaussian
+``p(s_k | s_{k-1}, y_k) = N(A s_{k-1} + b, C)`` and, in information form,
+``p(y_k | s_{k-1}) = exp(z - s'J s / 2 + eta's)``.  ``_combine`` joins two
+consecutive runs of points into one such element, and ``_scan`` turns n
+elements into all their prefix (or suffix) reductions with O(log n) batched
+calls on 3 x 3 stacks, in place of a Python step per point.  The prefix
+scan gives every filtered state and the cumulative log-likelihood (``total``
+and the forward pass of ``posterior``); the suffix scan of points
+``1 .. n-1`` gives the backward messages ``(J, eta, z)`` of ``_backward``.
 
 ``posterior`` gives a stored sweep's conditional posterior at the test
-points without a Gram matrix.  A fresh forward pass and a Rauch-Tung-Striebel
+points without a Gram matrix.  A prefix scan and a Rauch-Tung-Striebel
 backward pass (Sarkka 2013, *Bayesian Filtering and Smoothing*, ch. 8) give
-the smoothed training states and the gains ``G_k = P_k A' P_{k+1|k}^-1``.
+the smoothed training states and the gains ``G_k = P_k A' P_{k+1|k}^-1``;
+the backward pass is a suffix scan of the smoothing elements
+``s_k | s_{k+1} ~ N(G_k s_{k+1} + m_k - G_k A m_k, P_k - G_k P_{k+1|k} G_k')``.
 Each test point is predicted from its left training neighbour (the
 stationary prior before the first) and smoothed one step against its right
 one, in one batched pass.  On the chain of sorted test and training states
@@ -55,21 +70,97 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _I3 = np.eye(3)
 
 
-def _message_terms(lam_info: np.ndarray, eta: np.ndarray, cov: np.ndarray):
-    """``(M, M^-1 Lam, M^-1 eta)`` with ``M = I + Lam cov``, for Gaussian integrals of a message.
-
-    ``log int N(s; mu, cov) exp(-s'Lam s / 2 + eta's) ds`` is
-    ``-mu'(M^-1 Lam)mu / 2 + (M^-1 eta)'mu + (cov eta)'(M^-1 eta) / 2 - log det(M) / 2``,
-    which never inverts ``cov``.
-    """
-    M = _I3 + lam_info @ cov
-    sol = np.linalg.solve(M, np.concatenate((lam_info, eta[:, None]), axis=1))
-    return M, sol[:, :3], sol[:, 3]
-
-
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products ``A[k] @ v[k]``."""
     return np.einsum("kij,kj->ki", A, v)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """Symmetric parts of stacked square matrices."""
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+# row 3 r + s holds the flat indices (p, q, u, v) with adj(M)[r, s] = M_p M_q - M_u M_v
+_ADJUGATE = np.array([[4, 8, 5, 7], [2, 7, 1, 8], [1, 5, 2, 4], [5, 6, 3, 8], [0, 8, 2, 6],
+                      [2, 3, 0, 5], [3, 7, 4, 6], [1, 6, 0, 7], [0, 4, 1, 3]])
+
+
+def _combine(first: tuple, second: tuple) -> tuple:
+    """Filtering element of two consecutive runs of points, ``first`` before ``second``.
+
+    An element ``(A, b, C, eta, J, z)`` of the run ``i..j`` stands for
+    ``p(s_j | s_{i-1}, y_{i:j}) = N(A s_{i-1} + b, C)`` and
+    ``p(y_{i:j} | s_{i-1}) = exp(z - s'J s / 2 + eta's)``, batched over a
+    leading axis with ``b`` and ``eta`` as (k, 3, 1) columns (Sarkka &
+    Garcia-Fernandez 2021, lemma 8).  ``N = I + J2 C1`` is inverted by its
+    adjugate; its determinant is at least 1 when ``J2`` and ``C1`` are
+    positive semi-definite, and ``z`` gains the Gaussian integral that
+    ``StateSpaceLikelihood._close`` takes.  A non-positive ``det N`` makes
+    the result NaN, which the scan's caller reports.
+    """
+    A1, b1, C1, eta1, J1, z1 = first
+    A2, b2, C2, eta2, J2, z2 = second
+    N = J2 @ C1
+    N += _I3
+    g = N.reshape(-1, 9)[:, _ADJUGATE]
+    adj = (g[:, :, 0] * g[:, :, 1] - g[:, :, 2] * g[:, :, 3]).reshape(-1, 3, 3)
+    det = np.einsum("ki,ki->k", N[:, 0], adj[:, :, 0])
+    if not np.all(det > 0.0):
+        det = np.where(det > 0.0, det, np.nan)
+    N_inv = adj / det[:, None, None]
+    W = A2 @ N_inv.transpose(0, 2, 1)  # A2 (I + C1 J2)^-1
+    NJ = N_inv @ J2  # symmetric
+    t = N_inv @ eta2
+    v = t - NJ @ b1
+    Ceta = C1 @ eta2
+    A1T = A1.transpose(0, 2, 1)
+    return (W @ A1, W @ (b1 + Ceta) + b2, _sym(W @ C1 @ A2.transpose(0, 2, 1)) + C2,
+            A1T @ v + eta1, _sym(A1T @ NJ @ A1) + J1,
+            z1 + z2 + 0.5 * (np.sum(b1 * (t + v) + Ceta * t, axis=(1, 2)) - np.log(det)))
+
+
+def _chain(first: tuple, second: tuple) -> tuple:
+    """Smoothing element of ``first`` followed by ``second``.
+
+    An element ``(G, g, L)`` stands for ``s_k | s_j ~ N(G s_j + g, L)``, with
+    ``G = 0`` for an unconditional state.  Chaining ``s_k | s_j`` with
+    ``s_j | s_l`` gives ``s_k | s_l``.
+    """
+    G1, g1, L1 = first
+    G2, g2, L2 = second
+    return G1 @ G2, _mv(G1, g2) + g1, _sym(G1 @ L2 @ G1.transpose(0, 2, 1)) + L1
+
+
+def _fold(elems: tuple, op, left: slice, right: slice) -> None:
+    """``e[right] = op(e[left], e[right])`` for every array ``e`` of ``elems``, pairing in order."""
+    targets = tuple(e[right] for e in elems)
+    k = len(targets[0])
+    if k:
+        for target, result in zip(targets, op(tuple(e[left][:k] for e in elems), targets)):
+            target[...] = result
+
+
+def _scan(elems: tuple, op, reverse: bool = False) -> tuple:
+    """Replace batched elements ``e_0 .. e_{n-1}`` in place by their prefixes ``op(e_0, .., e_k)``.
+
+    ``op`` must be associative.  An up-sweep combines blocks of 2, 4, 8, ...
+    elements and a down-sweep fills in the prefixes between them (Brent &
+    Kung), so a pass of n elements makes at most 2 log2(n) batched ``op``
+    calls.  With ``reverse`` the elements become their suffixes
+    ``op(e_k, ..., e_{n-1})``, each operand still before the one after it.
+    Returns ``elems``.
+    """
+    if reverse:
+        _scan(tuple(e[::-1] for e in elems), lambda a, b: op(b, a))
+        return elems
+    n, s = len(elems[0]), 1
+    while 2 * s <= n:
+        _fold(elems, op, slice(s - 1, None, 2 * s), slice(2 * s - 1, None, 2 * s))
+        s *= 2
+    while s > 1:
+        s //= 2
+        _fold(elems, op, slice(2 * s - 1, None, 2 * s), slice(3 * s - 1, None, 2 * s))
+    return elems
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -94,9 +185,10 @@ class StateSpaceLikelihood:
     partition from left to right, ``score(candidate, dim, interval)`` returns
     the candidate's log-likelihood and ``decide(accepted)`` advances the
     filtered prefix through the interval on whichever path the chain keeps.
-    A score costs the interval's points plus one; the backward pass costs
-    O(n) once per sweep.  ``posterior(path, X_test)`` may come at any point
-    of that protocol: it runs passes of its own and changes no state.
+    A score costs the interval's points plus one, filtered one at a time;
+    ``total`` and the backward messages cost O(n) work once per sweep, in
+    O(log n) batched scan steps.  ``posterior(path, X_test)`` may come at any
+    point of that protocol: it runs passes of its own and changes no state.
     """
 
     name = "state_space"
@@ -139,7 +231,7 @@ class StateSpaceLikelihood:
         d = gaps[:, None, None]
         A = np.exp(-self._lam * d) * (_I3 + self._N * d + self._N2 * (0.5 * d * d))
         Q = self._pinf - A @ self._pinf @ A.transpose(0, 2, 1)
-        return A, 0.5 * (Q + Q.transpose(0, 2, 1))
+        return A, _sym(Q)
 
     def _filter(self, start: int, w: np.ndarray):
         """Filter sorted points ``start, start+1, ...`` at warped values ``w``.
@@ -182,11 +274,19 @@ class StateSpaceLikelihood:
         return ms, Ps, lls
 
     def _close(self, b: int, m: np.ndarray, P: np.ndarray) -> float:
-        """``log int beta_b(s) N(s; m, P) ds``: the log-likelihood of the points right of ``b``."""
-        M, sol_lam, sol_eta = _message_terms(self._lam_info[b], self._eta[b], P)
+        """``log int beta_b(s) N(s; m, P) ds``: the log-likelihood of the points right of ``b``.
+
+        With ``beta_b(s) = exp(c - s'Lam s / 2 + eta's)`` and ``M = I + Lam P`` it is
+        ``c - m'(M^-1 Lam)m / 2 + (M^-1 eta)'m + (P eta)'(M^-1 eta) / 2 - log det(M) / 2``,
+        which never inverts ``P``.
+        """
+        lam_info, eta = self._lam_info[b], self._eta[b]
+        M = _I3 + lam_info @ P
+        sol = np.linalg.solve(M, np.concatenate((lam_info, eta[:, None]), axis=1))
+        sol_lam, sol_eta = sol[:, :3], sol[:, 3]
         sign, logdet = np.linalg.slogdet(M)
-        out = (self._c[b] - 0.5 * m @ sol_lam @ m + sol_eta @ m
-               + 0.5 * (P @ self._eta[b]) @ sol_eta - 0.5 * logdet)
+        out = (self._c[b] - 0.5 * m @ sol_lam @ m + sol_eta @ m + 0.5 * (P @ eta) @ sol_eta
+               - 0.5 * logdet)
         if not (sign > 0 and math.isfinite(out)):
             raise NumericalError(
                 f"backward message at sorted point {b} of n={self.n} gave log det sign {sign} "
@@ -194,42 +294,73 @@ class StateSpaceLikelihood:
                 f"{self._noise_context}")
         return float(out)
 
+    def _elements(self, w: np.ndarray) -> tuple:
+        """Filtering elements ``(A, b, C, eta, J, z)`` of every sorted point at warped values ``w``.
+
+        Element ``k`` conditions on the state of point ``k - 1``: with the
+        transition ``A_k, Q_k`` of its gap, innovation variance
+        ``S = Q_k[0, 0] + r`` and gain ``K = Q_k e0 / S``, it is
+        ``((I - K e0') A_k, K y_k, Q_k - S K K', A_k'e0 y_k / S, A_k'e0 e0'A_k / S)``
+        with ``z = log N(y_k; 0, S)``.  Point 0's element comes from the
+        stationary prior (``A = 0``, ``Q = Pinf``); a zero gap gives ``A = I``
+        and ``C = 0``.  ``Q`` is never inverted.
+        """
+        n, y = self.n, self._y
+        gaps = np.diff(w, prepend=w[:1])
+        A, Q = self._transition(gaps)
+        A[0], Q[0] = 0.0, self._pinf
+        S = Q[:, 0, 0] + self._r
+        if not np.all(S > 0.0):
+            k = int(np.flatnonzero(~(S > 0.0))[0])
+            raise NumericalError(
+                f"non-positive innovation variance {S[k]:.3e} of the filtering element at "
+                f"sorted point {k} of n={n} (warped gap {gaps[k]:.3e}, process noise "
+                f"{np.array2string(Q[k], precision=3)}; {self._noise_context})")
+        K = Q[:, :, 0] / S[:, None]
+        HA = A[:, 0, :]
+        z = -0.5 * (_LOG_2PI + np.log(S) + y * y / S)
+        if not np.all(np.isfinite(z)):
+            k = int(np.flatnonzero(~np.isfinite(z))[0])
+            raise NumericalError(f"non-finite log conditional likelihood ({z[k]}) at sorted "
+                                 f"point {k} of n={n}; {self._noise_context}")
+        K, HA = K[:, :, None], HA[:, :, None]
+        return (A - K * HA.transpose(0, 2, 1), K * y[:, None, None],
+                Q - S[:, None, None] * K * K.transpose(0, 2, 1), HA * (y / S)[:, None, None],
+                HA * (HA / S[:, None, None]).transpose(0, 2, 1), z)
+
+    def _filtering_scan(self, w: np.ndarray, suffix: bool = False) -> tuple:
+        """Prefix scan of every point's filtering element, or suffix scan of points 1..n-1.
+
+        Prefix ``k`` holds the filtered mean ``b`` and covariance ``C`` of
+        point ``k`` and ``z = log p(y_{0:k})``; suffix ``i`` holds the
+        backward message ``p(y_{i+1:} | s_i)`` in ``(eta, J, z)``.
+        """
+        first = int(suffix)
+        out = _scan(tuple(e[first:] for e in self._elements(w)), _combine, suffix)
+        z = out[5]
+        if not np.all(np.isfinite(z)):
+            bad = np.flatnonzero(~np.isfinite(z))
+            k = first + int(bad[-1] if suffix else bad[0])
+            raise NumericalError(
+                f"non-finite log conditional likelihood ({z[k - first]}) in the "
+                f"{'suffix' if suffix else 'prefix'} scan at sorted point {k} of n={self.n} "
+                f"(warped gap {w[k] - w[max(k - 1, 0)]:.3e}): det(I + J C) not positive or "
+                f"an overflow; {self._noise_context}")
+        return out
+
     def total(self, path: SubordinatorPath) -> float:
-        """Whole-path log-likelihood: one forward pass over every point."""
-        return float(self._filter(0, path.values(self._x))[2][-1])
+        """Whole-path log-likelihood: the last reduction of the prefix scan."""
+        return float(self._filtering_scan(path.values(self._x))[5][-1])
 
     def _backward(self, path: SubordinatorPath) -> None:
-        """Backward information messages of ``path``, ``Lam <- A'(I + Lam Q)^-1 Lam A``.
+        """Backward information messages of ``path`` from one suffix scan.
 
-        Each step folds in the observation of point ``i + 1`` and integrates
-        over the transition from point ``i``; ``Q`` is never inverted, so
-        zero gaps need no special case.  The constants ``c_i`` are summed
-        afterwards in one vectorized pass.
+        ``log beta_i(s) = c_i - s'Lam_i s / 2 + eta_i's`` is the ``(J, eta, z)``
+        part of the reduction of the filtering elements of points
+        ``i + 1 .. n - 1``; the last point's message is empty.
         """
-        n, r, y = self.n, self._r, self._y
-        A, Q = self._transition(np.diff(path.values(self._x)))
-        obs_info = np.zeros((3, 3))
-        obs_info[0, 0] = 1.0 / r
-        obs_eta = np.array([1.0 / r, 0.0, 0.0])
-        lam_info, eta = np.zeros((3, 3)), np.zeros(3)
-        Ms = np.empty((n - 1, 3, 3))
-        quad = np.empty(n - 1)
-        for i in range(n - 2, -1, -1):
-            lam_info = lam_info + obs_info
-            eta = eta + obs_eta * y[i + 1]
-            Ms[i], sol_lam, sol_eta = _message_terms(lam_info, eta, Q[i])
-            quad[i] = (Q[i] @ eta) @ sol_eta
-            lam_info = A[i].T @ sol_lam @ A[i]
-            lam_info = 0.5 * (lam_info + lam_info.T)
-            eta = A[i].T @ sol_eta
-            self._lam_info[i], self._eta[i] = lam_info, eta
-        sign, logdet = np.linalg.slogdet(Ms)
-        if np.any(sign <= 0):
-            i = int(np.flatnonzero(sign <= 0)[0])
-            raise NumericalError(f"backward message at sorted point {i} of n={self.n}: "
-                                 f"det(I + Lam Q) has sign {sign[i]}; {self._noise_context}")
-        step = -0.5 * (_LOG_2PI + math.log(r) + y[1:] ** 2 / r) + 0.5 * quad - 0.5 * logdet
-        self._c[:-1] = np.cumsum(step[::-1])[::-1]
+        _, _, _, eta, lam_info, c = self._filtering_scan(path.values(self._x), suffix=True)
+        self._lam_info[:-1], self._eta[:-1], self._c[:-1] = lam_info, eta[:, :, 0], c
         self._lam_info[-1], self._eta[-1], self._c[-1] = 0.0, 0.0, 0.0
 
     def start_sweep(self, path: SubordinatorPath) -> None:
@@ -306,8 +437,9 @@ class StateSpaceLikelihood:
     def _smooth(self, w: np.ndarray, ms: np.ndarray, Ps: np.ndarray):
         """RTS pass over the sorted training states filtered at warped values ``w``.
 
-        Returns the smoothed means and covariances and the gains ``G_k``
-        linking point ``k`` to ``k + 1``.
+        The pass is a suffix scan of the smoothing elements.  Returns the
+        smoothed means and covariances and the gains ``G_k`` linking point
+        ``k`` to ``k + 1``.
         """
         n = self.n
         gaps = np.diff(w)
@@ -316,13 +448,11 @@ class StateSpaceLikelihood:
         Pp = AP @ A.transpose(0, 2, 1) + Q
         G = self._gains(Pp, AP, gaps, lambda k: (
             f"sorted point {k + 1} of n={n} (warped gap {gaps[k]:.3e})"))
-        mp, GT = _mv(A, ms[:-1]), G.transpose(0, 2, 1)
-        sm, sP = [ms[-1]] * n, [Ps[-1]] * n
-        for k in range(n - 2, -1, -1):
-            sm[k] = ms[k] + G[k] @ (sm[k + 1] - mp[k])
-            sP[k] = Ps[k] + G[k] @ (sP[k + 1] - Pp[k]) @ GT[k]
-        sP = np.array(sP)
-        return np.array(sm), 0.5 * (sP + sP.transpose(0, 2, 1)), G
+        # smoothing elements s_k | s_{k+1} ~ N(G_k s_{k+1} + g_k, L_k); the last is unconditional
+        g = np.concatenate((ms[:-1] - _mv(G, _mv(A, ms[:-1])), ms[-1:]))
+        L = np.concatenate((_sym(Ps[:-1] - G @ Pp @ G.transpose(0, 2, 1)), Ps[-1:]))
+        _, sm, sP = _scan((np.concatenate((G, np.zeros((1, 3, 3)))), g, L), _chain, reverse=True)
+        return sm, sP, G
 
     def posterior(self, path: SubordinatorPath, X_test) -> ConditionalPosterior:
         """GP posterior at ``X_test`` on the warp ``path``, by Rauch-Tung-Striebel smoothing.
@@ -338,7 +468,8 @@ class StateSpaceLikelihood:
             raise ValueError(f"1-D likelihood asked for {x_test.shape[1]}-D test points")
         n, m = self.n, x_test.shape[0]
         w = path.values(self._x)
-        ms, Ps, lls = self._filter(0, w)
+        _, ms, Ps, _, _, lls = self._filtering_scan(w)
+        ms = ms[:, :, 0]
         sm, sP, G = self._smooth(w, ms, Ps)
 
         # test states in sorted order: predicted from the left neighbour's filtered
@@ -365,7 +496,7 @@ class StateSpaceLikelihood:
         tm[:n_inner] += _mv(Gt, sm[right] - _mv(A2, tm[:n_inner]))
         tP = fP.copy()
         P = fP[:n_inner] + Gt @ (sP[right] - Pp2) @ Gt.transpose(0, 2, 1)
-        tP[:n_inner] = 0.5 * (P + P.transpose(0, 2, 1))
+        tP[:n_inner] = _sym(P)
         var = tP[:, 0, 0]
         if m and var.min() < _NEG_VARIANCE_SLACK:
             i = int(np.argmin(var))

@@ -153,3 +153,48 @@ def step_function_values(positions, magnitudes, x):
     positions = np.asarray(positions, dtype=float)
     magnitudes = np.asarray(magnitudes, dtype=float)
     return np.array([math.fsum(magnitudes[positions <= xi]) for xi in np.ravel(x)])
+
+
+def backward_messages(A, Q, y, r):
+    """Backward information messages of a 3-state model, one point at a time.
+
+    ``A[i], Q[i]`` is the transition from sorted point ``i`` to ``i + 1``, the
+    first state component is observed as ``y`` with noise variance ``r``.
+    Returns ``(Lam, eta, c)`` with ``log p(y_{i+1:} | s_i = s) = c_i - s'Lam_i s / 2 + eta_i's``
+    for every point, the last one's message empty.  Each step folds in point
+    ``i + 1``'s observation and integrates over the transition,
+    ``Lam <- A'(I + Lam Q)^-1 Lam A``, without inverting ``Q``.
+    """
+    n = len(y)
+    lam_info, eta, c = np.zeros((n, 3, 3)), np.zeros((n, 3)), np.zeros(n)
+    lam, e, const = np.zeros((3, 3)), np.zeros(3), 0.0
+    for i in range(n - 2, -1, -1):
+        lam = lam.copy()
+        lam[0, 0] += 1.0 / r
+        e = e + np.array([y[i + 1] / r, 0.0, 0.0])
+        const -= 0.5 * (math.log(2 * math.pi) + math.log(r) + y[i + 1] ** 2 / r)
+        M = np.eye(3) + lam @ Q[i]
+        sol_lam, sol_eta = np.linalg.solve(M, lam), np.linalg.solve(M, e)
+        sign, logdet = np.linalg.slogdet(M)
+        assert sign > 0
+        const += 0.5 * (Q[i] @ e) @ sol_eta - 0.5 * logdet
+        lam = A[i].T @ sol_lam @ A[i]
+        lam, e = 0.5 * (lam + lam.T), A[i].T @ sol_eta
+        lam_info[i], eta[i], c[i] = lam, e, const
+    return lam_info, eta, c
+
+
+def rts_smooth(means, covs, A, Q):
+    """Rauch-Tung-Striebel smoothed means and covariances, one point at a time.
+
+    ``means``/``covs`` are the filtered states of the sorted points and
+    ``A[k], Q[k]`` the transition from point ``k`` to ``k + 1``; a zero gap
+    (``Q[k]`` all zero) links the two states with gain ``I``.
+    """
+    sm, sP = np.array(means, dtype=float), np.array(covs, dtype=float)
+    for k in range(len(sm) - 2, -1, -1):
+        pred = A[k] @ covs[k] @ A[k].T + Q[k]
+        gain = np.eye(3) if not np.any(Q[k]) else np.linalg.solve(pred, A[k] @ covs[k]).T
+        sm[k] = means[k] + gain @ (sm[k + 1] - A[k] @ means[k])
+        sP[k] = covs[k] + gain @ (sP[k + 1] - pred) @ gain.T
+    return sm, 0.5 * (sP + sP.transpose(0, 2, 1))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ngpr import (KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
-                  acceptance_probability, init_identity, mixture_moments, partition_edges,
-                  pool_chains, posterior, predictive_moments, propose, run_mh_gibbs)
+                  acceptance_probability, assign_positions, init_identity, mixture_moments,
+                  partition_edges, pool_chains, posterior, predictive_moments, propose,
+                  run_mh_gibbs, simulate_jumps, simulate_path)
 from ngpr.gp import ConditionalPosterior
 
 import oracles
@@ -77,6 +78,26 @@ def test_propose_deletes_old_jumps_even_when_fresh_set_is_empty():
     inside = (js.positions >= 0.25) & (js.positions < 0.65)
     assert not inside.any()
     assert len(js) < len(current.jump_sets[0])
+
+
+def test_propose_matches_a_splice_of_assign_positions():
+    """The jumps equal an identically seeded ``simulate_jumps`` + ``assign_positions`` splice."""
+    rng = np.random.default_rng(4)
+    current = simulate_path(LSPEC, [(0.0, 1.0)], rng)
+    js = current.jump_sets[0]
+    for seed, (lo, hi) in enumerate([(0.0, 0.25), (0.3, 0.7), (0.75, 1.0)]):
+        prop = propose(current, (lo, hi), 0, LSPEC, np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed)
+        fresh = assign_positions(simulate_jumps(LSPEC, hi - lo, ref_rng, 1.0), (lo, hi), ref_rng)
+        left = js.positions < lo
+        right = (js.positions >= hi) if hi < 1.0 else (js.positions > hi)  # 1.0 is the upper bound
+        assert fresh.positions.size > 1 and left.sum() + right.sum() < len(js)
+        np.testing.assert_array_equal(
+            prop.jump_sets[0].positions,
+            np.concatenate((js.positions[left], fresh.positions, js.positions[right])))
+        np.testing.assert_array_equal(
+            prop.jump_sets[0].magnitudes,
+            np.concatenate((js.magnitudes[left], fresh.magnitudes, js.magnitudes[right])))
 
 
 def test_propose_rejects_degenerate_interval():

@@ -1,12 +1,15 @@
 """State-space Matern-5/2 likelihood and posterior: oracles, local scores, dispatch, failures."""
 
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from ngpr import (KernelSpec, LevyMeasureSpec, NumericalError, RegressionData, SamplerConfig,
                   generate, GenSpec, init_identity, kernel_value, log_conditional_likelihood,
                   partition_edges, propose, run_mh_gibbs, simulate_path, warp_inputs)
-from ngpr import sampler
+from ngpr import sampler, statespace
 from ngpr.statespace import StateSpaceLikelihood
 
 import oracles
@@ -148,6 +151,76 @@ def test_posterior_matches_the_dense_oracle():
     assert min(seen.values()) > 0, seen
 
 
+def test_scanned_messages_and_smoothed_states_match_the_sequential_oracles():
+    """The suffix scans against the one-point-at-a-time backward and RTS recursions."""
+    rng = np.random.default_rng(2032)
+    worst = {"messages": 0.0, "smoothed": 0.0}
+    seen = {"zero gaps": 0, "n=1": 0, "n=2": 0}
+    for i in range(18):
+        data, kspec, _ = _instance(rng)
+        if i % 6 in (1, 4):
+            keep = slice(0, 1 if i % 6 == 1 else 2)
+            data = RegressionData(data.X[keep], data.y[keep], data.noise_variance)
+        path = init_identity([(0.0, 1.0)], N_INTERVALS) if i % 4 == 0 else \
+            simulate_path(LSPEC, [(0.0, 1.0)], rng)
+        lik = StateSpaceLikelihood(data, kspec)
+        w = path.values(lik._x)
+        A, Q = lik._transition(np.diff(w))
+        lik._backward(path)
+        for got, want in zip((lik._lam_info, lik._eta, lik._c),
+                             oracles.backward_messages(A, Q, lik._y, lik._r)):
+            worst["messages"] = max(worst["messages"], _max_rel(got, want))
+        ms, Ps, _ = lik._filter(0, w)
+        sm, sP, _ = lik._smooth(w, ms, Ps)
+        for got, want in zip((sm, sP), oracles.rts_smooth(ms, Ps, A, Q)):
+            worst["smoothed"] = max(worst["smoothed"], _max_rel(got, want))
+        seen["zero gaps"] += int(np.sum(np.diff(w) == 0.0))
+        seen["n=1"] += data.n == 1
+        seen["n=2"] += data.n == 2
+    assert max(worst.values()) <= 1e-10, worst
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 33])
+def test_scans_match_left_and_right_folds(n):
+    rng = np.random.default_rng(n)
+    data = RegressionData(rng.uniform(0.0, 1.0, n + 1), rng.normal(size=n + 1), 0.05)
+    lik = StateSpaceLikelihood(data, KernelSpec("matern52", 0.3, 1.0))
+    w = simulate_path(LSPEC, [(0.0, 1.0)], rng).values(lik._x)
+    elems = tuple(e[1:] for e in lik._elements(w))  # each conditions on the previous state
+    single = [tuple(e[k:k + 1] for e in elems) for k in range(n)]
+    prefix = statespace._scan(tuple(e.copy() for e in elems), statespace._combine)
+    suffix = statespace._scan(tuple(e.copy() for e in elems), statespace._combine, reverse=True)
+    worst = 0.0
+    for k in range(n):
+        left = reduce(statespace._combine, single[:k + 1])
+        right = reduce(lambda later, e: statespace._combine(e, later), single[k:][::-1])
+        for scanned, folded in ((prefix, left), (suffix, right)):
+            worst = max(worst, *(_max_rel(got[k], want[0]) for got, want in zip(scanned, folded)))
+    assert worst <= 1e-10, worst
+
+
+def test_backward_pass_takes_logarithmically_many_combines(monkeypatch):
+    calls = []
+    real = statespace._combine
+
+    def counted(first, second):
+        calls.append(len(first[0]))
+        return real(first, second)
+
+    monkeypatch.setattr(statespace, "_combine", counted)
+    counts = []
+    for n in (1000, 2000):
+        rng = np.random.default_rng(n)
+        lik = StateSpaceLikelihood(RegressionData(rng.uniform(0.0, 1.0, n), rng.normal(size=n),
+                                                  0.01), KernelSpec("matern52", 0.1, 1.0))
+        calls.clear()
+        lik._backward(simulate_path(LSPEC, [(0.0, 1.0)], rng))
+        counts.append(len(calls))
+    assert counts[0] <= 2 * math.ceil(math.log2(1000)), counts
+    assert counts[1] - counts[0] <= 2, counts
+
+
 def test_posterior_between_sweeps_leaves_the_scores_alone():
     rng = np.random.default_rng(11)
     data, kspec, _ = _instance(rng)
@@ -273,6 +346,39 @@ def test_non_positive_innovation_variance_raises_with_context(monkeypatch):
                                              r"non-positive innovation variance .* of n=15 "
                                              r"\(warped gap .*predicted covariance"):
         _fit(data, "matern52")
+
+
+def test_non_positive_element_innovation_raises_with_context():
+    rng = np.random.default_rng(6)
+    lik = StateSpaceLikelihood(RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1),
+                               KernelSpec("matern52", 0.2))
+    lik._r = -2.0  # below minus the signal variance
+    with pytest.raises(NumericalError, match=r"(?s)non-positive innovation variance -1\.000e\+00 "
+                                             r"of the filtering element at sorted point 0 of n=15 "
+                                             r"\(warped gap 0\.000e\+00, process noise .*; "
+                                             r"noise_variance=0\.1"):
+        lik.total(init_identity([(0.0, 1.0)], 4))
+
+
+@pytest.mark.parametrize("suffix", [False, True])
+def test_non_positive_determinant_in_a_scan_raises_with_context(monkeypatch, suffix):
+    real = StateSpaceLikelihood._elements
+
+    def negative_information(self, w):
+        A, b, C, eta, J, z = real(self, w)
+        return A, b, C, eta, -1e6 * J, z  # det(I + J C) < 0 once J meets a covariance
+
+    monkeypatch.setattr(StateSpaceLikelihood, "_elements", negative_information)
+    rng = np.random.default_rng(6)
+    lik = StateSpaceLikelihood(RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1),
+                               KernelSpec("matern52", 0.2))
+    path = init_identity([(0.0, 1.0)], 4)
+    with pytest.raises(NumericalError, match=rf"non-finite log conditional likelihood \(nan\) in "
+                                             rf"the {'suffix' if suffix else 'prefix'} scan at "
+                                             rf"sorted point \d+ of n=15 \(warped gap .*\): "
+                                             rf"det\(I \+ J C\) not positive or an overflow; "
+                                             rf"noise_variance=0\.1"):
+        lik.start_sweep(path) if suffix else lik.total(path)
 
 
 def _corrupt_posterior(monkeypatch, corrupt):
