@@ -26,11 +26,12 @@ moments as it is drawn; only its path is kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
@@ -72,6 +73,8 @@ class MixtureSummary:
     ``scatter`` is ``count`` times the mixture covariance: the summed
     component covariances plus the scatter of the component means about
     ``mean``.  One component is ``MixtureSummary(1, post.mean, post.cov)``.
+    ``combine`` folds into its left operand's ``scatter`` in place, so a
+    summary passed on the left must own that array.
     """
 
     count: int
@@ -80,18 +83,22 @@ class MixtureSummary:
 
 
 def combine(a: MixtureSummary | None, b: MixtureSummary) -> MixtureSummary:
-    """Summary of the union of two mixtures; ``a=None`` is the empty mixture.
+    """Summary of the union of two mixtures, folded into ``a``; ``a=None`` is the empty mixture.
 
     Pairwise update of Chan, Golub & LeVeque (1979): adding one component and
-    pooling two chains are the same step.  Neither input is modified.
+    pooling two chains are the same step.  ``a.scatter`` gains ``b.scatter``
+    and a BLAS rank-1 update in place, with no m x m temporary, and the
+    result shares it; ``combine(None, b)`` returns ``b`` itself.  Callers
+    therefore pass an ``a`` they own.  ``b`` is not modified.
     """
     if a is None:
         return b
     n = a.count + b.count
     delta = b.mean - a.mean
-    scatter = np.multiply.outer(delta, delta * (a.count * b.count / n))
-    scatter += a.scatter
+    scatter = a.scatter
     scatter += b.scatter
+    if delta.size:  # dger updates the column-major scatter.T: scatter += c delta delta'
+        scatter = dger(a.count * b.count / n, delta, delta, a=scatter.T, overwrite_a=True).T
     return MixtureSummary(n, a.mean + delta * (b.count / n), scatter)
 
 
@@ -217,7 +224,8 @@ def mixture_moments(samples: Sequence[ConditionalPosterior]) -> tuple[np.ndarray
     for s in samples:
         if s.mean.shape != (m,) or s.cov.shape != (m, m):
             raise ValueError("inconsistent sample dimensions")
-    summary = reduce(combine, (MixtureSummary(1, s.mean, s.cov) for s in samples))
+    summary = reduce(combine, (MixtureSummary(1, s.mean, s.cov) for s in samples[1:]),
+                     MixtureSummary(1, samples[0].mean, samples[0].cov.copy()))
     return summary.mean.copy(), summary.scatter / summary.count
 
 
@@ -379,7 +387,8 @@ def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:
     if len(mixes) < 1:
         raise ValueError("need at least one chain")
     return MixturePosterior(
-        moments=reduce(combine, (mix.moments for mix in mixes)),
+        moments=reduce(combine, (mix.moments for mix in mixes[1:]),
+                       replace(mixes[0].moments, scatter=mixes[0].moments.scatter.copy())),
         paths=tuple(p for mix in mixes for p in mix.paths),
         sweeps=tuple(s for mix in mixes for s in mix.sweeps),
         log_cond_liks=tuple(ll for mix in mixes for ll in mix.log_cond_liks),

@@ -51,8 +51,11 @@ the smoothed process is backward Markov, so for sorted test points ``i < j``
     Cov(f_i, f_j) = e0' L_i L_{i+1} ... L_{j-1} P_j e0,
 
 where ``L_i`` is the product of the gains on the links from point ``i`` to
-point ``i + 1``.  Filled row by row from the right, each entry of the
-upper triangle costs one 3-vector product; no m x m solve or product.
+point ``i + 1``.  ``_product_form_cov`` fills it by block rows of about
+sqrt(m) points: one batched pass gives every block's own triangle, and two
+recursions over the blocks carry 3-row gain products, so each block row
+right and left of its block is one rank-3 matrix product written in place.
+The gains come from adjugates, never from LAPACK; no m x m solve is made.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ _ADJUGATE = np.array([[4, 8, 5, 7], [2, 7, 1, 8], [1, 5, 2, 4], [5, 6, 3, 8], [0
                       [2, 3, 0, 5], [3, 7, 4, 6], [1, 6, 0, 7], [0, 4, 1, 3]])
 
 
+def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates and determinants of stacked 3 x 3 matrices."""
+    g = M.reshape(-1, 9)[:, _ADJUGATE]
+    adj = (g[:, :, 0] * g[:, :, 1] - g[:, :, 2] * g[:, :, 3]).reshape(-1, 3, 3)
+    return adj, np.einsum("ki,ki->k", M[:, 0], adj[:, :, 0])
+
+
 def _combine(first: tuple, second: tuple) -> tuple:
     """Filtering element of two consecutive runs of points, ``first`` before ``second``.
 
@@ -102,9 +112,7 @@ def _combine(first: tuple, second: tuple) -> tuple:
     A2, b2, C2, eta2, J2, z2 = second
     N = J2 @ C1
     N += _I3
-    g = N.reshape(-1, 9)[:, _ADJUGATE]
-    adj = (g[:, :, 0] * g[:, :, 1] - g[:, :, 2] * g[:, :, 3]).reshape(-1, 3, 3)
-    det = np.einsum("ki,ki->k", N[:, 0], adj[:, :, 0])
+    adj, det = _adjugate(N)
     if not np.all(det > 0.0):
         det = np.where(det > 0.0, det, np.nan)
     N_inv = adj / det[:, None, None]
@@ -163,17 +171,52 @@ def _scan(elems: tuple, op, reverse: bool = False) -> tuple:
     return elems
 
 
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the strict upper triangle of square ``a`` onto its lower one, 64 rows at a time.
+def _product_form_cov(L: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Symmetric ``cov[i, j] = e0' L_i ... L_{j-1} p_j`` (``i <= j``) of m - 1 gains and m columns.
 
-    Copying a whole transpose at once misses the cache on every read; by
-    blocks it is several times faster at m = 2,000.
+    The points are cut into blocks of ``B = ceil(sqrt(m))``.  One batched
+    pass of B steps over all blocks gives each block's own triangle, each
+    row's ``r_i = e0' L_i ... L_{e-1}`` to its block's end ``e``, each
+    column's ``h_j = L_s ... L_{j-1} p_j`` from its block's start ``s`` and
+    the block's transfer ``T = L_s ... L_{e-1}``.  A right-to-left recursion
+    over the blocks carries the columns ``L_e ... L_{j-1} p_j`` right of a
+    block and a left-to-right one the columns ``T'(e0' L_j ... L_{s-1})'``
+    left of it, so each block row is two rank-3 products written in place.
     """
-    for r in range(0, a.shape[0], 64):
-        rows = slice(r, r + 64)
-        a[rows, :r] = a[:r, rows].T
-        diag = a[rows, rows]
-        np.copyto(diag, diag.T.copy(), where=np.tri(len(diag), k=-1, dtype=bool))
+    m = len(p)
+    cov = np.empty((m, m))
+    if m == 0:
+        return cov
+    B = math.isqrt(m - 1) + 1
+    nb = -(-m // B)
+    links = np.broadcast_to(_I3, (nb * B, 3, 3)).copy()
+    links[:m - 1] = L
+    links = links.reshape(nb, B, 3, 3)
+    # H[b, :, j] = L_{s+t} ... L_{s+j-1} p_{s+j} after step t; the last 3 columns end as T
+    H = np.zeros((nb, 3, B + 3))
+    cols = np.zeros((nb * B, 3))
+    cols[:m] = p
+    H[:, :, :B] = cols.reshape(nb, B, 3).transpose(0, 2, 1)
+    H[:, :, B:] = _I3
+    rows = np.zeros((nb, B, B + 3))  # row t: in-block entries right of t, then r
+    for t in range(B - 1, -1, -1):
+        H[:, :, t + 1:] = links[:, t] @ H[:, :, t + 1:]
+        rows[:, t, t + 1:] = H[:, 0, t + 1:]
+    right, left = np.empty((3, m)), np.empty((3, m))
+    for b in range(nb - 1, -1, -1):
+        s, e = b * B, min(b * B + B, m)
+        np.matmul(rows[b, :e - s, B:], right[:, e:], out=cov[s:e, e:])
+        right[:, e:] = H[b, :, B:] @ right[:, e:]
+        right[:, s:e] = H[b, :, :e - s]
+    for b in range(nb):
+        s, e = b * B, min(b * B + B, m)
+        np.matmul(H[b, :, :e - s].T, left[:, :s], out=cov[s:e, :s])
+        left[:, :s] = H[b, :, B:].T @ left[:, :s]
+        left[:, s:e] = rows[b, :e - s, B:].T
+        tri = rows[b, :e - s, :e - s]
+        np.add(tri, tri.T, out=cov[s:e, s:e])
+    np.fill_diagonal(cov, p[:, 0])
+    return cov
 
 
 class StateSpaceLikelihood:
@@ -414,23 +457,22 @@ class StateSpaceLikelihood:
         self._valid = b
 
     def _gains(self, P_next: np.ndarray, AP: np.ndarray, gaps: np.ndarray, where) -> np.ndarray:
-        """Smoothing gains ``P A' P_next^-1``, solved as ``(P_next^-1 A P)'``; ``I`` at a zero gap.
+        """Smoothing gains ``P A' P_next^-1 = (adj(P_next) A P)' / det``; ``I`` at a zero gap.
 
         ``P_next`` holds each link's predicted covariance and must be positive
-        definite; ``where(k)`` describes link ``k`` for the error message.
+        definite, which Sylvester's criterion checks on its leading minors
+        ``P_next[0, 0]``, ``adj[2, 2]`` and ``det``; ``where(k)`` describes the
+        first failing link ``k`` for the error message.  No LAPACK call: its
+        per-matrix path on 3 x 3 stacks is several times slower than adjugates.
         """
-        try:
-            np.linalg.cholesky(P_next)
-        except np.linalg.LinAlgError:
-            for k, P in enumerate(P_next):
-                try:
-                    np.linalg.cholesky(P)
-                except np.linalg.LinAlgError:
-                    raise NumericalError(
-                        f"predicted covariance {np.array2string(P, precision=3)} is not "
-                        f"positive definite at {where(k)}; {self._noise_context}") from None
-            raise
-        G = np.linalg.solve(P_next, AP).transpose(0, 2, 1)
+        adj, det = _adjugate(P_next)
+        ok = (P_next[:, 0, 0] > 0.0) & (adj[:, 2, 2] > 0.0) & (det > 0.0)
+        if not np.all(ok):
+            k = int(np.flatnonzero(~ok)[0])
+            raise NumericalError(
+                f"predicted covariance {np.array2string(P_next[k], precision=3)} is not "
+                f"positive definite at {where(k)}; {self._noise_context}")
+        G = (adj @ AP).transpose(0, 2, 1) / det[:, None, None]
         G[gaps == 0.0] = _I3
         return G
 
@@ -526,14 +568,7 @@ class StateSpaceLikelihood:
                 T[live] = T[live] @ G[start[live] + r]
             L[cross] = T @ L[cross]
 
-        # rows from the right: H[:, j] = L_i ... L_{j-1} tP[j] e0 for j > i
-        cov = np.empty((m, m))
-        H = tP[:, :, 0].T.copy()
-        for i in range(m - 2, -1, -1):
-            h = L[i] @ H[:, i + 1:]
-            H[:, i + 1:] = h
-            cov[i, i + 1:] = h[0]
-        _mirror_upper(cov)
+        cov = _product_form_cov(L, tP[:, :, 0])
         np.fill_diagonal(cov, np.maximum(var, 0.0))
         mean = tm[:, 0]
         if np.any(order[1:] < order[:-1]):

@@ -198,3 +198,19 @@ def rts_smooth(means, covs, A, Q):
         sm[k] = means[k] + gain @ (sm[k + 1] - A[k] @ means[k])
         sP[k] = covs[k] + gain @ (sP[k + 1] - pred) @ gain.T
     return sm, 0.5 * (sP + sP.transpose(0, 2, 1))
+
+
+def product_form_cov_rows(L, p):
+    """Symmetric ``cov[i, j] = e0' L_i ... L_{j-1} p_j`` for ``i <= j``, one row at a time.
+
+    ``L`` holds the m - 1 3 x 3 link gains and ``p`` the m 3-vectors.  Row
+    ``i`` from the right: ``H[:, j] <- L_i H[:, j]`` for every ``j > i``.
+    """
+    p = np.asarray(p, dtype=float)
+    m = len(p)
+    upper = np.zeros((m, m))
+    H = p.T.copy()
+    for i in range(m - 2, -1, -1):
+        H[:, i + 1:] = L[i] @ H[:, i + 1:]
+        upper[i, i + 1:] = H[0, i + 1:]
+    return upper + upper.T + np.diag(p[:, 0])

@@ -8,8 +8,9 @@ import pytest
 from ngpr import (KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
                   acceptance_probability, assign_positions, init_identity, mixture_moments,
                   partition_edges, pool_chains, posterior, predictive_moments, propose,
-                  run_mh_gibbs, simulate_jumps, simulate_path)
+                  run_chains, run_mh_gibbs, simulate_jumps, simulate_path)
 from ngpr.gp import ConditionalPosterior
+from ngpr.sampler import MixtureSummary, combine
 
 import oracles
 
@@ -226,6 +227,33 @@ def test_mixture_matches_brute_force_oracle():
             np.testing.assert_array_equal(s.cov, c)
 
 
+def test_combine_folds_into_its_left_operand():
+    rng = np.random.default_rng(8)
+    (ma, mb), (ca, cb) = _random_components(rng, 2, 4)
+    a, b = MixtureSummary(1, ma, ca.copy()), MixtureSummary(1, mb, cb.copy())
+    out = combine(a, b)
+    assert np.shares_memory(out.scatter, a.scatter)  # folded in place: the caller owned a
+    np.testing.assert_array_equal(b.scatter, cb)
+    np.testing.assert_array_equal(b.mean, mb)
+    mean, cov = oracles.brute_force_mixture([ma.tolist(), mb.tolist()], [ca.tolist(), cb.tolist()])
+    np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.scatter / out.count, cov, rtol=0, atol=1e-12)
+    assert combine(None, b) is b
+    empty = combine(MixtureSummary(1, np.zeros(0), np.zeros((0, 0))),
+                    MixtureSummary(1, np.zeros(0), np.zeros((0, 0))))
+    assert empty.count == 2 and empty.scatter.shape == (0, 0)
+
+
+def test_mixture_moments_leave_the_samples_alone():
+    means, covs = _random_components(np.random.default_rng(9), 4, 5)
+    samples = [_sample(m, c) for m, c in zip(means, covs)]
+    before = [(s.mean.copy(), s.cov.copy()) for s in samples]
+    for k in (1, 4):
+        mixture_moments(samples[:k])
+        for s, (mean, cov) in zip(samples, before):
+            assert s.mean.tobytes() == mean.tobytes() and s.cov.tobytes() == cov.tobytes()
+
+
 def test_mixture_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mixture_moments([])
@@ -424,6 +452,33 @@ def test_pool_chains_combines_samples():
     mean, cov, _ = _recomputed_moments(data, pooled.paths)
     np.testing.assert_allclose(pooled.aggregate_mean, mean, atol=1e-12)
     np.testing.assert_allclose(pooled.aggregate_cov, cov, atol=1e-12)
+
+
+def test_pooling_leaves_the_chains_alone():
+    mixes = [_run(seed=seed)[1] for seed in (31, 32, 33)]
+    before = [(m.moments.mean.copy(), m.moments.scatter.copy()) for m in mixes]
+    for k in (1, 3):
+        pooled = pool_chains(mixes[:k])
+        for mix, (mean, scatter) in zip(mixes, before):
+            assert mix.moments.mean.tobytes() == mean.tobytes()
+            assert mix.moments.scatter.tobytes() == scatter.tobytes()
+        assert not np.shares_memory(pooled.moments.scatter, mixes[0].moments.scatter)
+
+
+def test_run_chains_returns_the_chains_as_run_alone():
+    from ngpr import SamplerConfig
+
+    data = _toy_data(np.random.default_rng(100))
+    cfg = SamplerConfig(n_sweeps=4, n_intervals=5, seed=34)
+    pooled, mixes = run_chains(data, data.X, KSPEC, LSPEC, cfg, n_chains=3, domains=[(0.0, 1.0)])
+    alone = [run_mh_gibbs(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(s),
+                          domains=[(0.0, 1.0)])
+             for s in np.random.SeedSequence(cfg.seed).spawn(3)]
+    for mix, ref in zip(mixes, alone):
+        assert mix.moments.count == ref.moments.count
+        assert mix.moments.mean.tobytes() == ref.moments.mean.tobytes()
+        assert mix.moments.scatter.tobytes() == ref.moments.scatter.tobytes()
+    assert pooled.moments.count == sum(m.moments.count for m in mixes)
 
 
 def test_numerical_failures_carry_sweep_context():

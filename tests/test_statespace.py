@@ -116,8 +116,8 @@ def test_posterior_matches_the_dense_oracle():
     rng = np.random.default_rng(2031)
     worst = 0.0
     seen = {"below first": 0, "above last": 0, "at a training value": 0, "duplicates": 0,
-            "m=0": 0, "m=1": 0, "n=1": 0}
-    for i in range(18):
+            "m=0": 0, "m=1": 0, "n=1": 0, "many blocks": 0}
+    for i in range(19):
         data, kspec, _ = _instance(rng)
         if i % 3 == 1:  # no training point right of 0.7, so test points can warp past the last
             keep = data.X[:, 0] < 0.7
@@ -130,9 +130,10 @@ def test_posterior_matches_the_dense_oracle():
             X_test = np.empty(0)
         elif i % 9 == 8:
             X_test = rng.uniform(0.0, 1.0, 1)
-        else:
-            X_test = np.concatenate((rng.uniform(0.0, 1.0, int(rng.integers(1, 30))),
-                                     data.X[:3, 0], [0.0, 1.0, EDGES[3]]))
+        else:  # the last instance fills its covariance over 15 blocks of 16 points
+            k = 220 if i == 18 else int(rng.integers(1, 30))
+            X_test = np.concatenate((rng.uniform(0.0, 1.0, k), data.X[:3, 0],
+                                     [0.0, 1.0, EDGES[3]]))
             X_test = rng.permutation(np.concatenate((X_test, X_test[:4])))
         post = StateSpaceLikelihood(data, kspec).posterior(path, X_test)
         mean, cov, ll = _oracle_posterior(data, path, kspec, X_test)
@@ -147,8 +148,88 @@ def test_posterior_matches_the_dense_oracle():
         seen["m=0"] += X_test.size == 0
         seen["m=1"] += X_test.size == 1
         seen["n=1"] += data.n == 1
+        seen["many blocks"] += X_test.size >= 200
     assert worst <= 1e-8, worst
     assert min(seen.values()) > 0, seen
+
+
+def _rotations(rng, k):
+    """``k`` random 3 x 3 orthogonal matrices shrunk by at most 1%: long products stay O(1)."""
+    q, r = np.linalg.qr(rng.normal(size=(k, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q * rng.uniform(0.99, 1.0, (k, 1, 1))
+
+
+# m = 16 fills 4 whole blocks, 13 and 15 end in a short block, 17 takes blocks of 5;
+# 22, 23, 24 and 47 are B - 1, B, B + 1 and 2B + 1 for m = 500's B = 23
+@pytest.mark.parametrize("m", [0, 1, 2, 13, 15, 16, 17, 22, 23, 24, 47, 500])
+def test_block_row_fill_matches_the_row_by_row_oracle(m):
+    rng = np.random.default_rng(m)
+    L, p = _rotations(rng, max(m - 1, 0)), rng.normal(size=(m, 3))
+    got, want = statespace._product_form_cov(L, p), oracles.product_form_cov_rows(L, p)
+    assert got.shape == (m, m)
+    np.testing.assert_array_equal(np.diag(got), p[:, 0])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+def test_gains_test_positive_definiteness_like_cholesky():
+    """Sylvester's criterion in ``_gains`` accepts exactly the matrices Cholesky factors."""
+    rng = np.random.default_rng(2034)
+    q = _rotations(rng, 10)
+
+    def spectral(*signs):
+        eigs = np.array(signs) * rng.uniform(0.2, 5.0, (10, 3))
+        return q @ (eigs[:, :, None] * q.transpose(0, 2, 1))
+
+    stacks = {
+        "positive definite": spectral(1, 1, 1),
+        "singular PSD": np.array([np.diag([1.0, 0.0, 1.0]), np.diag([0.0, 2.0, 1.0]),
+                                  np.diag([3.0, 1.0, 0.0]), np.zeros((3, 3)),
+                                  [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+                                  [[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 1.0]]]),
+        "two negative eigenvalues": spectral(-1, -1, 1),
+        "one negative eigenvalue": spectral(1, -1, 1),
+        "negative definite": spectral(-1, -1, -1),
+    }
+    lik = StateSpaceLikelihood(RegressionData([0.1, 0.5], [0.0, 1.0], 0.1),
+                               KernelSpec("matern52", 0.2))
+    AP = rng.normal(size=(1, 3, 3))
+    accepted = {}
+    for name, stack in stacks.items():
+        for P in 0.5 * (stack + stack.transpose(0, 2, 1)):
+            try:
+                np.linalg.cholesky(P)
+                factored = True
+            except np.linalg.LinAlgError:
+                factored = False
+            try:
+                G = lik._gains(P[None], AP, np.ones(1), lambda k: f"link {k}")
+            except NumericalError as exc:
+                assert "is not positive definite at link 0" in str(exc)
+                G = None
+            assert (G is not None) == factored, (name, P)
+            if factored:
+                want = np.linalg.solve(P, AP[0]).T
+                np.testing.assert_allclose(G[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
+            accepted.setdefault(name, set()).add(factored)
+    assert accepted == {name: {name == "positive definite"} for name in stacks}, accepted
+
+
+def test_posterior_makes_no_linalg_call(monkeypatch):
+    rng = np.random.default_rng(2035)
+    data, kspec, _ = _instance(rng)
+    path = simulate_path(LSPEC, [(0.0, 1.0)], rng)
+    X_test = rng.uniform(0.0, 1.0, 60)
+    lik = StateSpaceLikelihood(data, kspec)
+    want = lik.posterior(path, X_test)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called in posterior")
+
+    for name in ("solve", "cholesky", "inv", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    got = lik.posterior(path, X_test)
+    np.testing.assert_array_equal(got.cov, want.cov)
 
 
 def test_scanned_messages_and_smoothed_states_match_the_sequential_oracles():
