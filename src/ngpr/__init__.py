@@ -13,11 +13,11 @@ from .levy import (GAMMA, STABLE, TEMPERED_STABLE, JumpSet, LevyMeasureSpec,
                    simulate_path)
 from .kernels import MATERN52, SQUARED_EXPONENTIAL, KernelSpec, build_gram, kernel_value
 from .gp import (ConditionalPosterior, RegressionData, gp_log_marginal_likelihood,
-                 grid_search_length_scale, log_conditional_likelihood, posterior,
-                 warp_inputs)
+                 log_conditional_likelihood, posterior, warp_inputs)
 from .sampler import (MixturePosterior, SamplerConfig, acceptance_probability,
-                      init_identity, mixture_moments, partition_edges, pool_chains,
-                      predictive_moments, propose, run_chains, run_mh_gibbs)
+                      grid_search_length_scale, init_identity, mixture_moments,
+                      partition_edges, pool_chains, predictive_moments, propose, run_chains,
+                      run_mh_gibbs)
 from .datagen import GenSpec, SyntheticDataset, generate
 
 __version__ = "0.1.0"

@@ -3,14 +3,15 @@
 Configuration is a flat dotted-key text file; ``--set key=value`` and the
 dedicated flags override file values, and a key outside ``DEFAULTS`` is a
 usage error.  Every run echoes its effective configuration into the output
-bundle.  Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
+bundle.  ``fit`` takes its plain-GP baselines from ``sampler.chain_likelihood``;
+``predict`` folds the paths files of the bundle's ``sampler.n_chains`` chains.
+Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import glob
 import json
 import os
 import sys
@@ -22,11 +23,11 @@ from scipy.linalg import LinAlgError
 from . import serialize
 from .datagen import GenSpec, generate
 from .errors import NumericalError
-from .gp import (RegressionData, gp_log_marginal_likelihood, grid_search_length_scale,
-                 log_conditional_likelihood, posterior)
+from .gp import RegressionData
 from .kernels import KernelSpec
 from .levy import LevyMeasureSpec, normalize_scale, simulate_path
-from .sampler import MixtureSummary, SamplerConfig, chain_likelihood, combine, run_chains
+from .sampler import (SamplerConfig, chain_likelihood, fold_posteriors,
+                      grid_search_length_scale, run_chains)
 
 SEED_ENV_VAR = "NGPR_SEED"
 
@@ -171,8 +172,8 @@ def _echo_config(out_dir: Path, cfg: dict[str, str]) -> None:
     (out_dir / "config.txt").write_text(serialize.format_kv_text(cfg))
 
 
-def _write_posterior(path: Path, X, moments: MixtureSummary, noise_variance: float) -> None:
-    """Mixture mean, posterior std and predictive std (noise added) at each input."""
+def _write_posterior(path: Path, X, moments, noise_variance: float) -> None:
+    """Mean, posterior std and predictive std (noise added) of a ``MixtureSummary`` per input."""
     var = np.diag(moments.scatter) / moments.count
     with open(path, "w", newline="") as fp:
         serialize.write_posterior_csv(fp, X, moments.mean, np.sqrt(var),
@@ -256,9 +257,19 @@ def cmd_fit(args) -> int:
     n_chains = _get(cfg, "sampler.n_chains", int)
     cfg["levy.c"] = repr(float(lspec.C))
 
+    true_path = None
+    if args.true_path:
+        true_path_file = Path(args.true_path)
+        if not true_path_file.is_file():
+            raise UsageError(f"true-path file not found: {true_path_file}")
+        with open(true_path_file, newline="") as fp:
+            true_path = serialize.read_jumps_csv(fp, domains)
+
     data = RegressionData(X[observed], y[observed], noise_variance)
     mix, chains = run_chains(data, X, kspec, lspec, scfg, n_chains=n_chains, domains=domains)
 
+    # a bundle without summary.json is partial: drop an earlier fit's before the first write
+    (out_dir / "summary.json").unlink(missing_ok=True)
     _write_posterior(out_dir / "posterior.csv", X, mix.moments, noise_variance)
 
     for idx, chain in enumerate(chains):
@@ -268,7 +279,8 @@ def cmd_fit(args) -> int:
         with open(out_dir / f"paths{suffix}.csv", "w", newline="") as fp:
             serialize.write_sampled_paths_csv(fp, chain.paths, chain.sweeps)
 
-    lml_fixed = gp_log_marginal_likelihood(data, kspec)
+    lik = chain_likelihood(data, kspec)
+    lml_fixed = lik.total(None)
     l_opt, lml_opt = grid_search_length_scale(data, kspec)
     jump_counts = [path.n_jumps() for path in mix.paths]
     summary = {
@@ -287,20 +299,15 @@ def cmd_fit(args) -> int:
         "noise_variance": noise_variance,
     }
 
-    if args.true_path:
-        true_path_file = Path(args.true_path)
-        if not true_path_file.is_file():
-            raise UsageError(f"true-path file not found: {true_path_file}")
-        with open(true_path_file, newline="") as fp:
-            true_path = serialize.read_jumps_csv(fp, domains)
-        summary["true_path_log_cond_lik"] = log_conditional_likelihood(data, true_path, kspec)
+    if true_path is not None:
+        summary["true_path_log_cond_lik"] = lik.total(true_path)
 
     held = ~observed
     if held.any():
         held_y = y[held]
         summary["rmse_ngp"] = float(np.sqrt(np.mean((mix.aggregate_mean[held] - held_y) ** 2)))
-        gp_post = posterior(data, X[held], None, kspec)
-        summary["rmse_gp"] = float(np.sqrt(np.mean((gp_post.mean - held_y) ** 2)))
+        gp_mean = lik.posterior(None, X[held]).mean
+        summary["rmse_gp"] = float(np.sqrt(np.mean((gp_mean - held_y) ** 2)))
 
     _echo_config(out_dir, cfg)
     # summary.json is written last: a bundle without it is partial
@@ -347,15 +354,14 @@ def cmd_predict(args) -> int:
             f"{bad_rows.size} input rows outside the trained domain "
             f"{cfg['fit.domain']}: rows {bad_rows[:10].tolist()}")
 
-    lik = chain_likelihood(data, kspec)
-    summary = None
-    for path_file in sorted(glob.glob(str(bundle / "paths*.csv"))):
-        with open(path_file, newline="") as fp:
-            for _sweep, sample_path in serialize.read_sampled_paths_csv(fp, domains):
-                post = lik.posterior(sample_path, X_new)
-                summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
+    n_chains = _get(cfg, "sampler.n_chains", int)
+    stored = []
+    for suffix in [""] if n_chains == 1 else [f"_chain{i}" for i in range(n_chains)]:
+        with open(bundle / f"paths{suffix}.csv", newline="") as fp:  # a missing file exits 2
+            stored += serialize.read_sampled_paths_csv(fp, domains)
+    summary, _ = fold_posteriors(chain_likelihood(data, kspec), stored, X_new)
     if summary is None:
-        raise UsageError(f"no stored subordinator samples (paths*.csv) in {bundle}")
+        raise UsageError(f"no stored subordinator samples in the paths files of {bundle}")
     _write_posterior(out_path, X_new, summary, noise_variance)
     print(f"wrote predictions for {X_new.shape[0]} points to {out_path}")
     return 0

@@ -6,15 +6,15 @@ and the log conditional likelihood (the Metropolis-Hastings weight) have
 closed forms.  Each function here goes through a single Cholesky
 factorization of the noisy training Gram matrix; no explicit inverses.
 These are the exact reference computations.  With a Matern-5/2 kernel on
-1-D data the sampler scores its proposals and draws its stored-sweep
-posteriors with ``statespace.StateSpaceLikelihood`` instead, a Kalman
-filter and smoother of the same model; ``posterior`` remains the dense
-reference and serves every other chain and the plain-GP baseline.
+1-D data, ``sampler.chain_likelihood`` scores that model, its plain-GP
+baselines included, with ``statespace.StateSpaceLikelihood`` instead, a
+Kalman filter and smoother; every other kernel and dimension goes through
+``posterior`` and ``log_conditional_likelihood`` here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
@@ -141,20 +141,3 @@ def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath |
 def gp_log_marginal_likelihood(data: RegressionData, kspec: KernelSpec) -> float:
     """Marginal likelihood of the plain GP on raw (unwarped) inputs."""
     return log_conditional_likelihood(data, None, kspec)
-
-
-def grid_search_length_scale(data: RegressionData, kspec: KernelSpec,
-                             grid: np.ndarray | None = None) -> tuple[float, float]:
-    """Pick the length scale maximizing the plain-GP marginal likelihood.
-
-    The default grid is 60 log-spaced values in [1e-3, 2]; suited to
-    inputs on roughly unit-scale domains.
-    """
-    if grid is None:
-        grid = np.geomspace(1e-3, 2.0, 60)
-    best_l, best_lml = None, -np.inf
-    for l in grid:
-        lml = gp_log_marginal_likelihood(data, replace(kspec, length_scale=float(l)))
-        if lml > best_lml:
-            best_l, best_lml = float(l), lml
-    return best_l, best_lml

@@ -9,18 +9,17 @@ the interval, and the move is accepted with probability
 prior conditional, the likelihood ratio alone is the correct MH weight.
 The likelihood is an object the sweep talks to: it is told the path at the
 start of each sweep, scores each candidate for its (dimension, interval)
-and is told whether the candidate was accepted.  With a Matern-5/2 kernel
-on 1-D data it is ``statespace.StateSpaceLikelihood``, which costs each
-proposal only the points in and next to its interval; every other case
-(the squared-exponential kernel has no finite state form, and
-multi-dimensional inputs have no order) evaluates the dense
-``log_conditional_likelihood`` of the whole candidate.
-Post burn-in, each full sweep draws one conditional GP posterior at the
-test points, which the likelihood object also gives: the state-space one
-by Rauch-Tung-Striebel smoothing, the dense one through ``gp.posterior``.
-These form an equally weighted Gaussian mixture whose moments are the
-regression output.  Each posterior is folded into the running mixture
-moments as it is drawn; only its path is kept.
+and is told whether the candidate was accepted.  ``chain_likelihood``
+picks it, for the chain and for the plain-GP baselines (``total(None)``):
+with a Matern-5/2 kernel on 1-D data it is ``statespace.StateSpaceLikelihood``,
+which costs each proposal only the points in and next to its interval;
+every other case (the squared-exponential kernel has no finite state form,
+and multi-dimensional inputs have no order) evaluates the dense
+``log_conditional_likelihood`` of the whole candidate.  Each post burn-in
+sweep keeps its path; ``fold_posteriors`` folds their conditional GP
+posteriors at the test points (state-space: Rauch-Tung-Striebel smoothing;
+dense: ``gp.posterior``) into the moments of an equally weighted Gaussian
+mixture, the regression output, for the chain and for ``ngpr predict``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -256,7 +255,7 @@ class DenseLikelihood:
     def __init__(self, data: RegressionData, kspec: KernelSpec, log_lik_fn: LogLikFn):
         self.data, self.kspec, self.log_lik_fn = data, kspec, log_lik_fn
 
-    def total(self, path: SubordinatorPath) -> float:
+    def total(self, path: SubordinatorPath | None) -> float:
         return self.log_lik_fn(self.data, path, self.kspec)
 
     def start_sweep(self, path: SubordinatorPath) -> None:
@@ -268,7 +267,7 @@ class DenseLikelihood:
     def decide(self, accepted: bool) -> None:
         pass
 
-    def posterior(self, path: SubordinatorPath, X_test: np.ndarray) -> ConditionalPosterior:
+    def posterior(self, path: SubordinatorPath | None, X_test: np.ndarray) -> ConditionalPosterior:
         return posterior(self.data, X_test, path, self.kspec)
 
 
@@ -284,6 +283,37 @@ def chain_likelihood(data: RegressionData, kspec: KernelSpec,
 
         return StateSpaceLikelihood(data, kspec)
     return DenseLikelihood(data, kspec, log_lik_fn or log_conditional_likelihood)
+
+
+def grid_search_length_scale(data: RegressionData, kspec: KernelSpec,
+                             grid: np.ndarray | None = None) -> tuple[float, float]:
+    """Pick the length scale maximizing the plain-GP marginal likelihood, ``total(None)``.
+
+    The default grid is 60 log-spaced values in [1e-3, 2]; suited to
+    inputs on roughly unit-scale domains.
+    """
+    if grid is None:
+        grid = np.geomspace(1e-3, 2.0, 60)
+    best_l, best_lml = None, -np.inf
+    for l in grid:
+        lml = chain_likelihood(data, replace(kspec, length_scale=float(l))).total(None)
+        if lml > best_lml:
+            best_l, best_lml = float(l), lml
+    return best_l, best_lml
+
+
+def fold_posteriors(lik, stored: Iterable[tuple[int, SubordinatorPath]], X_test: np.ndarray
+                    ) -> tuple[MixtureSummary | None, list[float]]:
+    """Fold ``lik.posterior(path, X_test)`` of each ``(sweep, path)``: summary, log-likelihoods."""
+    summary, lls = None, []
+    for sweep, path in stored:
+        try:
+            post = lik.posterior(path, X_test)
+        except NumericalError as exc:
+            raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
+        summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
+        lls.append(post.log_cond_lik)
+    return summary, lls
 
 
 def _gibbs_sweeps(lik, lspec: LevyMeasureSpec, cfg: SamplerConfig, rng: np.random.Generator,
@@ -349,32 +379,22 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
         raise ValueError(f"{len(domains)} domains for {data.ndim} dimensions")
     burn_in_sweeps = int(cfg.burn_in_fraction * cfg.n_sweeps)
 
-    summary: MixtureSummary | None = None
-    paths: list[SubordinatorPath] = []
-    sweeps: list[int] = []
-    lls: list[float] = []
     trace: list[TraceStep] = []
-
+    stored: list[tuple[int, SubordinatorPath]] = []
     lik = chain_likelihood(data, kspec, log_lik_fn)
     for sweep, path, steps in _gibbs_sweeps(lik, lspec, cfg, rng, domains,
                                             init_identity(domains, cfg.n_intervals)):
         trace.extend(steps)
-        if sweep < burn_in_sweeps:
-            continue
-        try:
-            post = lik.posterior(path, X_test)
-        except NumericalError as exc:
-            raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
-        summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
-        paths.append(path)
-        sweeps.append(sweep)
-        lls.append(post.log_cond_lik)
+        if sweep >= burn_in_sweeps:
+            stored.append((sweep, path))
+    summary, lls = fold_posteriors(lik, stored, X_test)
+    sweeps, paths = zip(*stored)  # burn_in_fraction < 1 always keeps the last sweep
 
     kept = [step.accepted for step in trace if step.sweep >= burn_in_sweeps]
     return MixturePosterior(
         moments=summary,
-        paths=tuple(paths),
-        sweeps=tuple(sweeps),
+        paths=paths,
+        sweeps=sweeps,
         log_cond_liks=tuple(lls),
         acceptance_rate=sum(kept) / len(kept) if kept else 1.0,
         trace=tuple(trace),

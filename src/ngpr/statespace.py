@@ -232,6 +232,7 @@ class StateSpaceLikelihood:
     ``total`` and the backward messages cost O(n) work once per sweep, in
     O(log n) batched scan steps.  ``posterior(path, X_test)`` may come at any
     point of that protocol: it runs passes of its own and changes no state.
+    In ``total`` and ``posterior``, ``path=None`` is the identity warp, as in ``gp``.
     """
 
     name = "state_space"
@@ -391,9 +392,9 @@ class StateSpaceLikelihood:
                 f"an overflow; {self._noise_context}")
         return out
 
-    def total(self, path: SubordinatorPath) -> float:
+    def total(self, path: SubordinatorPath | None) -> float:
         """Whole-path log-likelihood: the last reduction of the prefix scan."""
-        return float(self._filtering_scan(path.values(self._x))[5][-1])
+        return float(self._filtering_scan(self._x if path is None else path.values(self._x))[5][-1])
 
     def _backward(self, path: SubordinatorPath) -> None:
         """Backward information messages of ``path`` from one suffix scan.
@@ -496,7 +497,7 @@ class StateSpaceLikelihood:
         _, sm, sP = _scan((np.concatenate((G, np.zeros((1, 3, 3)))), g, L), _chain, reverse=True)
         return sm, sP, G
 
-    def posterior(self, path: SubordinatorPath, X_test) -> ConditionalPosterior:
+    def posterior(self, path: SubordinatorPath | None, X_test) -> ConditionalPosterior:
         """GP posterior at ``X_test`` on the warp ``path``, by Rauch-Tung-Striebel smoothing.
 
         The model, moments and log conditional likelihood of
@@ -509,7 +510,7 @@ class StateSpaceLikelihood:
         if x_test.shape[1] != 1:
             raise ValueError(f"1-D likelihood asked for {x_test.shape[1]}-D test points")
         n, m = self.n, x_test.shape[0]
-        w = path.values(self._x)
+        w = self._x if path is None else path.values(self._x)
         _, ms, Ps, _, _, lls = self._filtering_scan(w)
         ms = ms[:, :, 0]
         sm, sP, G = self._smooth(w, ms, Ps)
@@ -518,7 +519,7 @@ class StateSpaceLikelihood:
         # state (the stationary prior before the first point), then smoothed one
         # step against the right neighbour; past the last point prediction is final
         order = np.argsort(x_test[:, 0], kind="stable")
-        u = path.values(x_test[order, 0])
+        u = x_test[order, 0] if path is None else path.values(x_test[order, 0])
         c = np.searchsorted(w, u, side="right")  # training values <= u
         n_first, n_inner = (int(i) for i in np.searchsorted(c, (1, n)))
         left = np.maximum(c - 1, 0)

@@ -3,11 +3,13 @@
 import json
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ngpr import cli, serialize
+from ngpr import (NumericalError, RegressionData, cli, gp, gp_log_marginal_likelihood,
+                  log_conditional_likelihood, sampler, serialize)
 from ngpr.statespace import StateSpaceLikelihood
 
 FAST_CONFIG = """
@@ -178,6 +180,67 @@ def test_fit_rejects_short_dataset_row(workdir, tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["se", "matern52"])
+def test_fit_baselines_match_the_dense_gp(workdir, monkeypatch, family):
+    """SE baselines are the dense ones bit for bit; Matern-5/2 ones need no dense factorization."""
+    kernel = ("--set", f"kernel.family={family}")
+    data_dir = _gen(workdir, extra=kernel)
+    factorizations = []
+    real = gp._factorize
+    monkeypatch.setattr(gp, "_factorize", lambda *args: factorizations.append(1) or real(*args))
+    fit_dir = _fit(workdir, data_dir, extra=(*kernel, "--set", "sampler.n_sweeps=2",
+                                             "--true-path", str(data_dir / "true_path.csv")))
+    monkeypatch.undo()
+    summary = json.loads((fit_dir / "summary.json").read_text())
+    echoed = serialize.parse_kv_text((fit_dir / "config.txt").read_text())
+    kspec = cli.kernel_from_config(echoed)
+    with open(data_dir / "dataset.csv") as fp:
+        X, y, observed = serialize.read_dataset_csv(fp)
+    with open(data_dir / "true_path.csv") as fp:
+        true_path = serialize.read_jumps_csv(fp, serialize.parse_domains(echoed["fit.domain"]))
+    data = RegressionData(X[observed], y[observed], summary["noise_variance"])
+    grid = np.geomspace(1e-3, 2.0, 60)
+    lmls = [gp_log_marginal_likelihood(data, replace(kspec, length_scale=float(l))) for l in grid]
+    best = int(np.argmax(lmls))
+    held = ~observed
+    gp_mean = gp.posterior(data, X[held], None, kspec).mean
+    dense = {"gp_log_marginal": gp_log_marginal_likelihood(data, kspec),
+             "gp_log_marginal_opt": lmls[best],
+             "true_path_log_cond_lik": log_conditional_likelihood(data, true_path, kspec),
+             "rmse_gp": float(np.sqrt(np.mean((gp_mean - y[held]) ** 2)))}
+    assert held.any()
+    assert summary["gp_length_scale_opt"] == float(grid[best])
+    if family == "se":
+        assert factorizations
+        assert {key: summary[key] for key in dense} == dense
+    else:
+        assert factorizations == []
+        for key, value in dense.items():
+            assert summary[key] == pytest.approx(value, rel=1e-8, abs=0), key
+
+
+def test_failed_refit_leaves_no_stale_summary(workdir, monkeypatch, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    before = {f.name: f.read_bytes() for f in fit_dir.iterdir()}
+    argv = ["fit", "-c", str(workdir / "config.txt"), "--data", str(data_dir / "dataset.csv"),
+            "--out", str(fit_dir), "--seed", "99"]
+    # a missing --true-path is reported before the chain overwrites anything
+    assert cli.main([*argv, "--true-path", str(workdir / "absent.csv")]) == 2
+    assert "absent.csv" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in fit_dir.iterdir()} == before
+
+    # a failure after the first write leaves a partial bundle, without summary.json
+    def failing(*args):
+        raise NumericalError("synthetic baseline failure")
+
+    monkeypatch.setattr(cli, "grid_search_length_scale", failing)
+    assert cli.main(argv) == 1
+    assert "synthetic baseline failure" in capsys.readouterr().err
+    assert (fit_dir / "posterior.csv").read_bytes() != before["posterior.csv"]
+    assert not (fit_dir / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -225,6 +288,66 @@ def test_matern_predict_at_dataset_inputs_reproduces_the_fit(workdir, monkeypatc
     np.testing.assert_array_equal(predicted[0], fitted[0])
     for p, f in zip(predicted[1:], fitted[1:]):
         np.testing.assert_allclose(p, f, rtol=1e-12, atol=0)
+
+
+def _predict_matches_fit(fit_dir, data_dir, out_csv):
+    rc = cli.main(["predict", "--bundle", str(fit_dir),
+                   "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
+    assert rc == 0
+    with open(out_csv) as fp:
+        predicted = serialize.read_posterior_csv(fp)
+    with open(fit_dir / "posterior.csv") as fp:
+        fitted = serialize.read_posterior_csv(fp)
+    for p, f in zip(predicted, fitted):
+        np.testing.assert_allclose(p, f, rtol=0, atol=1e-10)
+
+
+def test_predict_ignores_paths_files_of_an_earlier_fit(workdir):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir, extra=("--chains", "3"))
+    _fit(workdir, data_dir, extra=("--chains", "1"))
+    assert (fit_dir / "paths_chain2.csv").is_file() and (fit_dir / "paths.csv").is_file()
+    _predict_matches_fit(fit_dir, data_dir, workdir / "pred.csv")
+
+
+def test_predict_reads_the_chains_in_order(workdir, monkeypatch):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir, extra=("--chains", "11", "--set", "sampler.n_sweeps=2",
+                                             "--set", "sampler.n_intervals=3"))
+    read = []
+    real = serialize.read_sampled_paths_csv
+    monkeypatch.setattr(serialize, "read_sampled_paths_csv",
+                        lambda fp, domains: read.append(fp.name) or real(fp, domains))
+    _predict_matches_fit(fit_dir, data_dir, workdir / "pred.csv")
+    assert read == [str(fit_dir / f"paths_chain{i}.csv") for i in range(11)]
+
+
+def test_predict_names_a_missing_paths_file(workdir, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir, extra=("--chains", "2"))
+    (fit_dir / "paths_chain1.csv").unlink()
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(fit_dir),
+                   "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
+    assert rc == 2
+    assert "paths_chain1.csv" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_predict_reports_the_sweep_of_a_failed_posterior(workdir, monkeypatch, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    with open(fit_dir / "paths.csv") as fp:
+        first = min(int(line.rsplit(",", 1)[1]) for line in fp.read().splitlines()[1:])
+
+    def failing(*args):
+        raise NumericalError("synthetic failure")
+
+    monkeypatch.setattr(sampler, "posterior", failing)
+    rc = cli.main(["predict", "--bundle", str(fit_dir),
+                   "--inputs", str(data_dir / "dataset.csv"), "--out", str(workdir / "p.csv")])
+    assert rc == 1
+    assert f"posterior at sweep {first}: synthetic failure" in capsys.readouterr().err
 
 
 def test_predict_empty_inputs_gives_header_only(workdir):

@@ -1,14 +1,16 @@
 """State-space Matern-5/2 likelihood and posterior: oracles, local scores, dispatch, failures."""
 
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from ngpr import (KernelSpec, LevyMeasureSpec, NumericalError, RegressionData, SamplerConfig,
-                  generate, GenSpec, init_identity, kernel_value, log_conditional_likelihood,
-                  partition_edges, propose, run_mh_gibbs, simulate_path, warp_inputs)
+                  generate, GenSpec, gp_log_marginal_likelihood, grid_search_length_scale,
+                  init_identity, kernel_value, log_conditional_likelihood, partition_edges,
+                  posterior, propose, run_mh_gibbs, simulate_path, warp_inputs)
 from ngpr import sampler, statespace
 from ngpr.statespace import StateSpaceLikelihood
 
@@ -336,6 +338,43 @@ def test_intervals_must_be_scored_left_to_right():
     lik.score(propose(path, (edges[0], edges[1]), 0, LSPEC, rng), 0, (edges[0], edges[1]))
     with pytest.raises(ValueError, match="left to right"):
         lik.score(propose(path, (edges[2], edges[3]), 0, LSPEC, rng), 0, (edges[2], edges[3]))
+
+
+# ---------------------------------------------------------------------------
+# identity warp: the plain-GP baselines
+# ---------------------------------------------------------------------------
+
+def _identity_instance():
+    """n = 200 on [0.1, 0.9] with ten repeated inputs, unsorted."""
+    rng = np.random.default_rng(2032)
+    X = rng.uniform(0.1, 0.9, 190)
+    X = rng.permutation(np.concatenate((X, X[:10])))
+    data = RegressionData(X, np.sin(12 * X) + 0.1 * rng.normal(size=X.size), 0.01)
+    return data, KernelSpec("matern52", length_scale=0.1, signal_variance=1.3), rng
+
+
+def test_identity_warp_grid_matches_the_dense_marginal_likelihood():
+    data, kspec, _ = _identity_instance()
+    grid = np.geomspace(1e-3, 2.0, 60)  # grid_search_length_scale's default
+    fast, dense = np.transpose([
+        (StateSpaceLikelihood(data, spec).total(None), gp_log_marginal_likelihood(data, spec))
+        for spec in (replace(kspec, length_scale=float(l)) for l in grid)])
+    assert max(map(_rel, fast, dense)) <= 1e-8
+    best = int(np.argmax(dense))
+    assert int(np.argmax(fast)) == best
+    assert grid_search_length_scale(data, kspec) == (float(grid[best]), fast[best])
+
+
+def test_identity_warp_posterior_matches_the_dense_posterior():
+    data, kspec, rng = _identity_instance()
+    # unsorted, repeated, on training inputs and outside the training hull [0.1, 0.9]
+    X_test = np.concatenate((rng.uniform(0.0, 1.0, 80), data.X[:5, 0], [0.0, 0.05, 0.95, 1.0]))
+    X_test = rng.permutation(np.concatenate((X_test, X_test[:6])))
+    post = StateSpaceLikelihood(data, kspec).posterior(None, X_test)
+    ref = posterior(data, X_test, None, kspec)
+    worst = max(_max_rel(post.mean, ref.mean), _max_rel(post.cov, ref.cov),
+                _rel(post.log_cond_lik, ref.log_cond_lik))
+    assert worst <= 1e-8, worst
 
 
 # ---------------------------------------------------------------------------
