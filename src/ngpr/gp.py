@@ -5,6 +5,9 @@ the warped coordinates, so the posterior mean/covariance at test points
 and the log conditional likelihood (the Metropolis-Hastings weight) have
 closed forms.  Each function here goes through a single Cholesky
 factorization of the noisy training Gram matrix; no explicit inverses.
+The factorization and the solves call LAPACK's ``dpotrf``, ``dpotrs`` and
+``dtrtrs`` directly, which skips the checks and copies of the
+``scipy.linalg`` wrappers but runs the same routines on the same inputs.
 These are the exact reference computations.  With a Matern-5/2 kernel on
 1-D data, ``sampler.chain_likelihood`` scores that model, its plain-GP
 baselines included, with ``statespace.StateSpaceLikelihood`` instead, a
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import NumericalError
 from .kernels import KernelSpec, as_point_matrix, build_gram
@@ -85,24 +88,27 @@ def warp_inputs(path: SubordinatorPath | None, X: np.ndarray) -> np.ndarray:
 def _factorize(data: RegressionData, path: SubordinatorPath | None, kspec: KernelSpec):
     """Cholesky of the noisy training Gram on warped inputs.
 
-    Returns (warped X, cho_factor output, K_y^-1 y, log conditional likelihood).
+    Returns (warped X, lower Cholesky factor, K_y^-1 y, log conditional likelihood).
+    The factor overwrites the Gram in place, in Fortran order; its upper
+    triangle keeps the Gram's entries.
     """
     Xw = warp_inputs(path, data.X)
     K = build_gram(Xw, None, kspec)
-    K[np.diag_indices_from(K)] += data.noise_variance
-    try:
-        factor = cho_factor(K, lower=True)
-    except LinAlgError as exc:
+    K.ravel()[::data.n + 1] += data.noise_variance
+    # K is symmetric: K.T is the same matrix in the Fortran order dpotrf factors in place.
+    L, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+    if info:
         raise NumericalError(
             f"Cholesky factorization failed for an n={data.n} training Gram "
-            f"(noise_variance={data.noise_variance}, jitter={kspec.jitter}): {exc}"
-        ) from exc
-    alpha = cho_solve(factor, data.y)
-    log_det = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            f"(noise_variance={data.noise_variance}, jitter={kspec.jitter}): "
+            f"leading minor {info} is not positive definite"
+        )
+    alpha = dpotrs(L, data.y, lower=1)[0]
+    log_det = 2.0 * np.sum(np.log(np.diag(L)))
     log_lik = -0.5 * float(data.y @ alpha) - 0.5 * log_det - 0.5 * data.n * np.log(2.0 * np.pi)
     if not np.isfinite(log_lik):
         raise NumericalError(f"non-finite log conditional likelihood ({log_lik})")
-    return Xw, factor, alpha, log_lik
+    return Xw, L, alpha, log_lik
 
 
 def log_conditional_likelihood(data: RegressionData, path: SubordinatorPath | None,
@@ -116,19 +122,23 @@ def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath |
     """Posterior mean/covariance at test points for one fixed warp.
 
     Negative posterior-variance entries within the numerical slack are
-    clamped to zero; anything worse raises ``NumericalError``.
+    clamped to zero; anything worse raises ``NumericalError``.  Beyond the
+    factorization, at most two m x m arrays are allocated for m test points.
     """
-    Xw, factor, alpha, log_lik = _factorize(data, path, kspec)
+    Xw, L, alpha, log_lik = _factorize(data, path, kspec)
     Xw_test = warp_inputs(path, X_test)
     K_cross = build_gram(Xw, Xw_test, kspec)
     # The test-test block is never factorized: built as a cross Gram, it gets no jitter.
     K_test = build_gram(Xw_test, Xw_test, kspec)
     mean = K_cross.T @ alpha
-    V = solve_triangular(factor[0], K_cross, lower=True, check_finite=False)
-    # gemm, then symmetrize: numpy sends V.T @ V to a threaded syrk, whose idle OpenBLAS
-    # threads slow the chain's small-matrix work afterwards unless BLAS runs one thread.
-    cov = K_test - V.T @ V.copy()
-    cov = 0.5 * (cov + cov.T)
+    V = dtrtrs(L, K_cross, lower=1)[0]
+    # gemm on a copy, not the syrk numpy picks for V.T @ V: idle threads of a threaded
+    # syrk slow the chain's small-matrix work afterwards unless BLAS runs one thread.
+    # D = K_test - V.T V is then symmetrized as 0.5 * (D + D.T), D in K_test's buffer.
+    cov = V.T @ V.copy()
+    K_test -= cov
+    np.add(K_test, K_test.T, out=cov)
+    cov *= 0.5
     diag = np.diag(cov)
     if diag.size and diag.min() < _NEG_VARIANCE_SLACK:
         raise NumericalError(

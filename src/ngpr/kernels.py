@@ -49,18 +49,36 @@ class KernelSpec:
             raise ValueError(f"jitter must be non-negative, got {self.jitter}")
 
 
+def _covariance(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """Overwrite the float distances ``r`` with the covariances.
+
+    Bit for bit the formulas in their written order, ``s = r / length_scale``:
+    SE ``exp(-0.5 * s * s)`` (scaling ``s * s`` by -0.5 is exact) and
+    Matern-5/2 ``(1 + t + 5/3 * s * s) * exp(-t)`` with ``t = sqrt(5) * s``.
+    """
+    r /= spec.length_scale
+    if spec.family == SQUARED_EXPONENTIAL:
+        r *= r
+        r *= -0.5
+        np.exp(r, out=r)
+    else:
+        poly = r * (5.0 / 3.0)
+        poly *= r
+        r *= np.sqrt(5.0)
+        poly += r + 1.0
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        r *= poly
+    r *= spec.signal_variance
+    return r
+
+
 def kernel_value(spec: KernelSpec, r):
     """Covariance at distance ``r`` (scalar or array), ``r >= 0``."""
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)  # a copy, which _covariance overwrites
     if r.size and r.min() < 0:
         raise ValueError("distances must be non-negative")
-    s = r / spec.length_scale
-    if spec.family == SQUARED_EXPONENTIAL:
-        k = np.exp(-0.5 * s * s)
-    else:
-        t = np.sqrt(5.0) * s
-        k = (1.0 + t + (5.0 / 3.0) * s * s) * np.exp(-t)
-    return spec.signal_variance * k
+    return _covariance(spec, r)[()]
 
 
 def build_gram(points_a: np.ndarray, points_b: np.ndarray | None,
@@ -70,13 +88,20 @@ def build_gram(points_a: np.ndarray, points_b: np.ndarray | None,
     With ``points_b=None`` the matrix is built on ``points_a`` against
     itself and ``spec.jitter * signal_variance`` is added to the diagonal.
     Cross Gram matrices get no stabilizer, even when both point sets are
-    the same array.
+    the same array.  One-dimensional points take their distances as
+    ``|a_i - b_j|``, which is ``cdist``'s ``sqrt((a_i - b_j)^2)`` unless that
+    square underflows.
     """
     a = as_point_matrix(points_a)
     b = a if points_b is None else as_point_matrix(points_b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.empty((a.shape[0], b.shape[0]))
-    gram = kernel_value(spec, cdist(a, b))
+    if a.shape[1] == b.shape[1] == 1:
+        r = np.subtract.outer(a[:, 0], b[:, 0])
+        np.abs(r, out=r)
+    else:
+        r = cdist(a, b)
+    gram = _covariance(spec, r)
     if points_b is None:
-        gram[np.diag_indices_from(gram)] += spec.jitter * spec.signal_variance
+        gram.ravel()[::a.shape[0] + 1] += spec.jitter * spec.signal_variance
     return gram

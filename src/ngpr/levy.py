@@ -68,6 +68,22 @@ class LevyMeasureSpec:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
 
 
+def _sorted_jumps(positions, magnitudes, lo: float, hi: float):
+    """Jumps stable-sorted by position; magnitudes positive and finite, positions in [lo, hi]."""
+    positions = np.atleast_1d(np.asarray(positions, dtype=float))
+    magnitudes = np.atleast_1d(np.asarray(magnitudes, dtype=float))
+    if positions.shape != magnitudes.shape or positions.ndim != 1:
+        raise ValueError("positions and magnitudes must be 1-d arrays of equal length")
+    order = np.argsort(positions, kind="stable")
+    positions, magnitudes = positions[order], magnitudes[order]
+    if magnitudes.size:
+        if not 0 < magnitudes.min() <= magnitudes.max() < np.inf:  # NaN is the min and fails
+            raise ValueError("all jump magnitudes must be positive and finite")
+        if not lo <= positions[0] <= positions[-1] <= hi:  # NaN sorts last and fails
+            raise ValueError(f"jump positions must lie within [{lo}, {hi}]")
+    return positions, magnitudes
+
+
 @dataclass(frozen=True, eq=False)
 class JumpSet:
     """Finite point set (positions, magnitudes) of a subordinator on an interval.
@@ -87,26 +103,39 @@ class JumpSet:
     cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        magnitudes = np.atleast_1d(np.asarray(self.magnitudes, dtype=float))
-        if positions.shape != magnitudes.shape or positions.ndim != 1:
-            raise ValueError("positions and magnitudes must be 1-d arrays of equal length")
         lo, hi = float(self.domain[0]), float(self.domain[1])
         if not lo < hi:
             raise ValueError(f"degenerate domain ({lo}, {hi})")
-        order = np.argsort(positions, kind="stable")
-        positions, magnitudes = positions[order], magnitudes[order]
-        if magnitudes.size:
-            if not np.all((magnitudes > 0) & (magnitudes < np.inf)):
-                raise ValueError("all jump magnitudes must be positive and finite")
-            if not lo <= positions[0] <= positions[-1] <= hi:  # NaN sorts last and fails
-                raise ValueError("jump positions must lie within the domain")
-        cumulative = np.concatenate(([0.0], np.cumsum(magnitudes)))
+        positions, magnitudes = _sorted_jumps(self.positions, self.magnitudes, lo, hi)
+        self._freeze(positions, magnitudes, np.concatenate(([0.0], np.cumsum(magnitudes))),
+                     (lo, hi))
+
+    def _freeze(self, positions, magnitudes, cumulative, domain):
         for name, arr in (("positions", positions), ("magnitudes", magnitudes),
                           ("cumulative", cumulative)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", domain)
+
+    def splice(self, start: int, stop: int, positions, magnitudes) -> JumpSet:
+        """This set with its jumps ``[start, stop)`` replaced by fresh ones.
+
+        Equals ``JumpSet`` of the joined jumps bit for bit, but sorts and checks only
+        the fresh jumps: they must lie between the kept neighbours (the domain bounds
+        at the ends), ties included.  The prefix sums go on from ``cumulative[start]``.
+        """
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(f"bad slice [{start}, {stop}) of {len(self)} jumps")
+        positions, magnitudes = _sorted_jumps(
+            positions, magnitudes, self.positions[start - 1] if start else self.domain[0],
+            self.positions[stop] if stop < len(self) else self.domain[1])
+        magnitudes = np.concatenate((self.magnitudes[:start], magnitudes, self.magnitudes[stop:]))
+        cumulative = np.concatenate((self.cumulative[:start + 1], magnitudes[start:]))
+        np.cumsum(cumulative[start:], out=cumulative[start:])
+        spliced = object.__new__(JumpSet)
+        spliced._freeze(np.concatenate((self.positions[:start], positions, self.positions[stop:])),
+                        magnitudes, cumulative, self.domain)
+        return spliced
 
     def __len__(self):
         return self.positions.size

@@ -184,9 +184,9 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
     sorted, so the removed jumps are one slice, found by binary search; the
     result joins the jumps left of it, the fresh jumps and the jumps right
     of it.  The fresh positions, drawn as ``assign_positions`` draws them,
-    lie in ``[lo, hi)`` and are spliced unsorted: the new set's stable sort
-    places them, so one ``JumpSet`` is built per proposal.  Every other
-    dimension keeps its ``JumpSet`` object.
+    lie in ``[lo, hi)``; ``JumpSet.splice`` sorts and checks only them, so
+    one ``JumpSet`` is built per proposal.  Every other dimension keeps its
+    ``JumpSet`` object.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -196,9 +196,7 @@ def propose(current: SubordinatorPath, interval: tuple[float, float], dim: int,
     stop = np.searchsorted(js.positions, hi, side="right" if hi >= js.domain[1] else "left")
     magnitudes = simulate_jumps(lspec, hi - lo, rng, js.domain[1] - js.domain[0])
     positions = rng.uniform(lo, hi, size=magnitudes.size)
-    spliced = JumpSet(np.concatenate((js.positions[:start], positions, js.positions[stop:])),
-                      np.concatenate((js.magnitudes[:start], magnitudes, js.magnitudes[stop:])),
-                      js.domain)
+    spliced = js.splice(start, stop, positions, magnitudes)
     return SubordinatorPath(current.jump_sets[:dim] + (spliced,) + current.jump_sets[dim + 1:])
 
 

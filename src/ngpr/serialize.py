@@ -70,14 +70,13 @@ def _data_rows(reader, width: int):
         yield row
 
 
-def _jump_rows(reader, width: int, n_dims: int):
-    """Each data row of a jump CSV with its (dim, position, magnitude), dim checked."""
-    for row in _data_rows(reader, width):
-        dim = int(row[0])
-        if not 0 <= dim < n_dims:
-            raise ValueError(f"line {reader.line_num}: jump row {row} references "
-                             f"dimension {dim}, have {n_dims}")
-        yield row, (dim, float(row[1]), float(row[2]))
+def _jump(row: list[str], line_num: int, n_dims: int) -> tuple[int, float, float]:
+    """(dim, position, magnitude) of a jump CSV row, dim checked."""
+    dim = int(row[0])
+    if not 0 <= dim < n_dims:
+        raise ValueError(f"line {line_num}: jump row {row} references "
+                         f"dimension {dim}, have {n_dims}")
+    return dim, float(row[1]), float(row[2])
 
 
 def _path_from_rows(rows: list[tuple[int, float, float]],
@@ -93,17 +92,24 @@ def read_jumps_csv(fp, domains: Sequence[tuple[float, float]]) -> SubordinatorPa
     header = next(reader)
     if header[:3] != ["dim", "position", "magnitude"]:
         raise ValueError(f"unexpected jump CSV header: {header}")
-    return _path_from_rows([jump for _, jump in _jump_rows(reader, 3, len(domains))], domains)
+    return _path_from_rows([_jump(row, reader.line_num, len(domains))
+                            for row in _data_rows(reader, 3)], domains)
 
 
 def write_sampled_paths_csv(fp, paths: Iterable[SubordinatorPath],
                             sweeps: Iterable[int]) -> None:
-    """Per-sample subordinator jumps with the sweep index that produced them."""
+    """Per-sample subordinator jumps with the sweep index that produced them.
+
+    A path without jumps is written as the one marker row ``,,,sweep``.
+    """
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["dim", "position", "magnitude", "sweep"])
     for path, sweep in zip(paths, sweeps):
-        for dim, pos, mag in path_rows(path):
+        rows = path_rows(path)
+        for dim, pos, mag in rows:
             writer.writerow([dim, _fmt(pos), _fmt(mag), sweep])
+        if not rows:
+            writer.writerow(["", "", "", sweep])
 
 
 def read_sampled_paths_csv(fp, domains: Sequence[tuple[float, float]]
@@ -114,8 +120,10 @@ def read_sampled_paths_csv(fp, domains: Sequence[tuple[float, float]]
     if header != ["dim", "position", "magnitude", "sweep"]:
         raise ValueError(f"unexpected sampled-path CSV header: {header}")
     grouped: dict[int, list[tuple[int, float, float]]] = {}
-    for row, jump in _jump_rows(reader, 4, len(domains)):
-        grouped.setdefault(int(row[3]), []).append(jump)
+    for row in _data_rows(reader, 4):
+        jumps = grouped.setdefault(int(row[3]), [])
+        if row[:3] != ["", "", ""]:  # else the marker row of a path without jumps
+            jumps.append(_jump(row, reader.line_num, len(domains)))
     return [(sweep, _path_from_rows(grouped[sweep], domains)) for sweep in sorted(grouped)]
 
 

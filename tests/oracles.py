@@ -109,6 +109,17 @@ def gamma_fn_by_quadrature(z):
     return val
 
 
+def kernel_formula(family, length_scale, signal_variance, r):
+    """SE or Matern-5/2 covariance at distances ``r``, written out term by term."""
+    s = np.asarray(r, dtype=float) / length_scale
+    if family == "se":
+        k = np.exp(-0.5 * s * s)
+    else:
+        t = np.sqrt(5.0) * s
+        k = (1.0 + t + (5.0 / 3.0) * s * s) * np.exp(-t)
+    return signal_variance * k
+
+
 def dense_gp_posterior(Xw, y, Xw_test, kernel_fn, noise_variance, jitter_variance):
     """Naive O(n^3) GP posterior and log-likelihood via explicit inverse.
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ngpr import (JumpSet, KernelSpec, LevyMeasureSpec, RegressionData, SubordinatorPath,
-                  kernel_value, log_conditional_likelihood, posterior, simulate_path,
-                  warp_inputs)
+from ngpr import (JumpSet, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
+                  SubordinatorPath, kernel_value, log_conditional_likelihood, posterior,
+                  simulate_path, warp_inputs)
 from ngpr.sampler import init_identity
 
 import oracles
@@ -171,6 +171,17 @@ def test_oracle_equivalence_on_many_random_instances():
         np.testing.assert_allclose(post.mean, mean_o, rtol=1e-8, atol=1e-9)
         np.testing.assert_allclose(post.cov, cov_o, rtol=1e-8, atol=1e-9)
         np.testing.assert_allclose(post.log_cond_lik, ll_o, rtol=1e-8)
+
+
+def test_failed_cholesky_reports_its_matrix():
+    # two equal inputs, no jitter and noise below rounding: the Gram is singular
+    data = RegressionData([0.3, 0.3], [1.0, -1.0], 1e-20)
+    kspec = KernelSpec("se", length_scale=0.1, jitter=0.0)
+    for call in (lambda: log_conditional_likelihood(data, None, kspec),
+                 lambda: posterior(data, np.array([0.5]), None, kspec)):
+        with pytest.raises(NumericalError,
+                           match=r"n=2 training Gram \(noise_variance=1e-20, jitter=0.0\)"):
+            call()
 
 
 def test_regression_data_validation():

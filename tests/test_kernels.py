@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
+from scipy.spatial.distance import cdist
 
-from ngpr import MATERN52, SQUARED_EXPONENTIAL, KernelSpec, build_gram, kernel_value
+from ngpr import (MATERN52, SQUARED_EXPONENTIAL, JumpSet, KernelSpec, SubordinatorPath,
+                  build_gram, kernel_value, warp_inputs)
+
+import oracles
 
 
 def test_value_at_zero_lag_is_signal_variance():
@@ -90,3 +94,51 @@ def test_spec_validation():
         KernelSpec(SQUARED_EXPONENTIAL, 0.1, signal_variance=0.0)
     with pytest.raises(ValueError):
         KernelSpec(SQUARED_EXPONENTIAL, 0.1, jitter=-1e-9)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
+def test_kernel_value_matches_the_written_out_formula_bitwise(family):
+    rng = np.random.default_rng(4)
+    r = np.concatenate(([0.0, 5e-324, 1e-200, 1e-154, 1e-20, 1e-8],
+                        rng.uniform(0.0, 3.0, 500), 10 ** rng.uniform(-12, 3, 500)))
+    for length_scale, signal_variance in ((0.1, 1.0), (0.37, 2.5), (1e-3, 0.3)):
+        spec = KernelSpec(family, length_scale, signal_variance)
+        expected = oracles.kernel_formula(family, length_scale, signal_variance, r)
+        assert _bits(kernel_value(spec, r)) == _bits(expected)
+
+
+def test_kernel_value_takes_scalars_and_leaves_its_input_alone():
+    for family in (SQUARED_EXPONENTIAL, MATERN52):
+        spec = KernelSpec(family, length_scale=0.3, signal_variance=1.5)
+        value = kernel_value(spec, 0.25)
+        assert np.ndim(value) == 0
+        assert value == oracles.kernel_formula(family, 0.3, 1.5, 0.25)
+        r = np.array([0.0, 0.1, 0.7])
+        kernel_value(spec, r)
+        assert r.tolist() == [0.0, 0.1, 0.7]
+        with pytest.raises(ValueError):
+            kernel_value(spec, np.array([0.1, -1e-300]))
+
+
+@pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
+def test_one_dimensional_gram_matches_the_cdist_reference_bitwise(family):
+    rng = np.random.default_rng(6)
+    spec = KernelSpec(family, length_scale=0.15, signal_variance=1.7, jitter=1e-6)
+    # warped inputs on flat path segments repeat exactly
+    path = SubordinatorPath([JumpSet([0.2, 0.45, 0.8], [0.3, 0.05, 0.6], (0.0, 1.0))])
+    a = warp_inputs(path, rng.uniform(0, 1, size=40))
+    b = warp_inputs(path, rng.uniform(0, 1, size=25))
+    assert np.unique(a).size < a.shape[0]
+    self_ref = kernel_value(spec, cdist(a, a))
+    self_ref[np.diag_indices_from(self_ref)] += spec.jitter * spec.signal_variance
+    assert _bits(build_gram(a, None, spec)) == _bits(self_ref)
+    assert _bits(build_gram(a, a, spec)) == _bits(kernel_value(spec, cdist(a, a)))
+    assert _bits(build_gram(a, b, spec)) == _bits(kernel_value(spec, cdist(a, b)))
+    assert _bits(build_gram(b[:, 0], a[:, 0], spec)) == _bits(kernel_value(spec, cdist(b, a)))
+    empty = np.empty((0, 1))
+    for x, y, shape in ((empty, None, (0, 0)), (empty, a, (0, 40)), (a, empty, (40, 0))):
+        assert build_gram(x, y, spec).shape == shape

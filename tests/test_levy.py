@@ -226,6 +226,79 @@ def test_jump_set_equality_is_identity():
     assert a == a and not a == b and a != b
 
 
+def _joined(js, start, stop, positions, magnitudes):
+    """The public constructor on the concatenated jumps: the splice's reference."""
+    return JumpSet(np.concatenate((js.positions[:start], positions, js.positions[stop:])),
+                   np.concatenate((js.magnitudes[:start], magnitudes, js.magnitudes[stop:])),
+                   js.domain)
+
+
+def _assert_same_bits(a, b):
+    for name in ("positions", "magnitudes", "cumulative"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert not getattr(a, name).flags.writeable
+    assert a.domain == b.domain
+
+
+def test_splice_matches_the_public_constructor_bitwise():
+    rng = np.random.default_rng(41)
+    lspec = LevyMeasureSpec(TEMPERED_STABLE, C=0.7, alpha=0.5, beta=2.0, n_terms=300)
+    domain = (0.0, 2.0)
+    cases = set()
+    for _ in range(300):
+        js = assign_positions(simulate_jumps(lspec, 2.0, rng), domain, rng)
+        k = int(rng.integers(1, 400))
+        edges = np.linspace(*domain, k + 1)
+        j = int(rng.integers(k))
+        lo, hi = edges[j], edges[j + 1]
+        start = np.searchsorted(js.positions, lo, side="left")
+        stop = np.searchsorted(js.positions, hi, side="right" if j == k - 1 else "left")
+        magnitudes = simulate_jumps(lspec, hi - lo, rng, 2.0)
+        positions = rng.uniform(lo, hi, size=magnitudes.size)
+        if j == k - 1 and positions.size:
+            positions[0] = hi  # a fresh jump on the closed upper bound
+        before = js.positions.tobytes(), js.cumulative.tobytes()
+        _assert_same_bits(js.splice(start, stop, positions, magnitudes),
+                          _joined(js, start, stop, positions, magnitudes))
+        assert (js.positions.tobytes(), js.cumulative.tobytes()) == before
+        cases.update({"first" if j == 0 else "inner" if j < k - 1 else "last",
+                      "no fresh" if positions.size == 0 else "fresh",
+                      "none removed" if start == stop else "removed"})
+    assert cases == {"first", "inner", "last", "no fresh", "fresh", "none removed", "removed"}
+
+
+def test_splice_keeps_the_stable_order_of_tied_positions():
+    js = JumpSet([0.1, 0.2, 0.2, 0.5, 0.5, 0.9], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], (0.0, 1.0))
+    fresh = (np.array([0.5, 0.2, 0.3, 0.2, 0.5]), np.array([0.7, 0.8, 0.9, 1.1, 1.2]))
+    bounds = np.concatenate(([0.0], js.positions, [1.0]))
+    for start, stop in ((2, 3), (2, 2), (0, 0), (0, 6), (6, 6)):
+        # ties with each other and with the kept neighbours on both sides
+        positions = np.clip(fresh[0], bounds[start], bounds[stop + 1])
+        magnitudes = fresh[1]
+        _assert_same_bits(js.splice(start, stop, positions, magnitudes),
+                          _joined(js, start, stop, positions, magnitudes))
+    _assert_same_bits(js.splice(1, 5, [], []), _joined(js, 1, 5, [], []))
+    empty = JumpSet([], [], (0.0, 1.0))
+    _assert_same_bits(empty.splice(0, 0, [1.0, 0.0], [2.0, 3.0]),
+                      JumpSet([1.0, 0.0], [2.0, 3.0], (0.0, 1.0)))
+
+
+def test_splice_rejects_what_the_constructor_rejects():
+    js = JumpSet([0.1, 0.4, 0.6, 0.9], [1.0, 2.0, 3.0, 4.0], (0.0, 1.0))
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            js.splice(1, 3, [0.5, 0.45], [1.0, bad])
+    for start, stop, bad in ((1, 3, 0.05), (1, 3, 0.95), (1, 3, np.nan),
+                             (0, 1, -0.01), (3, 4, 1.01), (0, 4, np.inf)):
+        with pytest.raises(ValueError):
+            js.splice(start, stop, [0.5, bad], [1.0, 1.0])
+    for start, stop in ((2, 1), (-1, 2), (0, 5)):
+        with pytest.raises(ValueError):
+            js.splice(start, stop, [], [])
+    with pytest.raises(ValueError):
+        js.splice(1, 3, [0.5, 0.45], [1.0])
+
+
 # ---------------------------------------------------------------------------
 # path evaluation
 # ---------------------------------------------------------------------------

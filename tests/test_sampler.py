@@ -505,3 +505,23 @@ def test_numerical_failures_carry_sweep_context():
     with pytest.raises(NumericalError, match="chain initialization"):
         run_mh_gibbs(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(1),
                      domains=[(0.0, 1.0)], log_lik_fn=always_exploding)
+
+
+def test_failed_cholesky_carries_chain_and_sweep_context():
+    from ngpr import SamplerConfig
+    from ngpr.sampler import chain_likelihood, fold_posteriors
+
+    kspec = KernelSpec("se", 0.1, 1.0, jitter=0.0)
+    # Few prior jumps: a redraw of [0.25, 0.5) soon leaves 0.2 and 0.3 on one flat step.
+    lspec = LevyMeasureSpec("tempered_stable", C=0.7, alpha=0.5, beta=2.0, n_terms=2)
+    cfg = SamplerConfig(n_sweeps=5, n_intervals=4)
+    chain_args = (kspec, lspec, cfg)
+    tied = RegressionData([0.3, 0.3], [1.0, -1.0], 1e-20)
+    with pytest.raises(NumericalError, match=r"chain initialization: Cholesky .* n=2 "):
+        run_mh_gibbs(tied, tied.X, *chain_args, np.random.default_rng(1), domains=[(0.0, 1.0)])
+    apart = RegressionData([0.2, 0.3], [1.0, -1.0], 1e-20)
+    with pytest.raises(NumericalError,
+                       match=r"sweep \d+, dim 0, interval \[\S+, \S+\): Cholesky .* n=2 "):
+        run_mh_gibbs(apart, apart.X, *chain_args, np.random.default_rng(1), domains=[(0.0, 1.0)])
+    with pytest.raises(NumericalError, match=r"posterior at sweep 7: Cholesky .* n=2 "):
+        fold_posteriors(chain_likelihood(tied, kspec), [(7, None)], tied.X)

@@ -61,6 +61,25 @@ def test_sampled_paths_csv_roundtrip():
         assert b.total() == p.total()
 
 
+def test_sampled_paths_csv_keeps_a_path_without_jumps():
+    from ngpr import JumpSet, SubordinatorPath
+
+    domains = [(0.0, 1.0), (0.0, 2.0)]
+    full = SubordinatorPath([JumpSet([0.25, 0.5], [1.0, 2.0], domains[0]),
+                             JumpSet([1.5], [0.5], domains[1])])
+    half = SubordinatorPath([JumpSet([], [], domains[0]), JumpSet([0.75], [3.0], domains[1])])
+    empty = SubordinatorPath([JumpSet([], [], dom) for dom in domains])
+    buf = io.StringIO()
+    serialize.write_sampled_paths_csv(buf, [full, empty, half], [3, 4, 5])
+    assert buf.getvalue().splitlines()[4:] == [",,,4", "1,0.75,3.0,5"]
+    buf.seek(0)
+    back = serialize.read_sampled_paths_csv(buf, domains)
+    assert [sweep for sweep, _ in back] == [3, 4, 5]
+    for (_, b), p in zip(back, [full, empty, half]):
+        assert [len(js) for js in b.jump_sets] == [len(js) for js in p.jump_sets]
+        assert b.total(0) == p.total(0) and b.total(1) == p.total(1)
+
+
 def test_dataset_csv_roundtrip():
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, size=(17, 2))
