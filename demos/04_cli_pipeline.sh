@@ -40,7 +40,7 @@ ngpr predict --bundle "$WORK/fit" --inputs "$WORK/new_points.csv" \
 cat "$WORK/predictions.csv"
 
 echo "== simulate: raw subordinator path draws"
-ngpr simulate -c "$WORK/config.txt" --seed 7 --out "$WORK/prior_path.csv" \
+ngpr simulate -c "$WORK/config.txt" --set gen.seed=7 --out "$WORK/prior_path.csv" \
     --eval-points 100
 
 echo "== normalize: rescale an input CSV to the unit box"

@@ -1,10 +1,14 @@
 """Command-line front end: gen, fit, predict, simulate, normalize.
 
-Configuration is a flat dotted-key text file; ``--set key=value`` and the
-dedicated flags override file values, and a key outside ``DEFAULTS`` is a
-usage error.  Every run echoes its effective configuration into the output
-bundle.  ``fit`` takes its plain-GP baselines from ``sampler.chain_likelihood``;
-``predict`` folds the paths files of the bundle's ``sampler.n_chains`` chains.
+A config value has three sources, each overriding the one before: the
+built-in ``DEFAULTS``, the flat dotted-key file given with ``-c``, and
+``--set key=value`` pairs.  A key outside ``DEFAULTS`` is a usage error.
+Each run echoes its effective configuration, with ``levy.c`` resolved to a
+number: ``gen`` into ``dataset.meta``, ``fit`` into the bundle's
+``config.txt``.  ``fit`` reads only ``gen.noise_std`` and ``gen.domain`` from
+the ``.meta`` sidecar of its dataset CSV, and takes its plain-GP baselines
+from ``sampler.chain_likelihood``; ``predict`` folds the paths files of the
+bundle's ``sampler.n_chains`` chains.
 Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 """
 
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,8 +31,6 @@ from .kernels import KernelSpec
 from .levy import LevyMeasureSpec, normalize_scale, simulate_path
 from .sampler import (SamplerConfig, chain_likelihood, fold_posteriors,
                       grid_search_length_scale, run_chains)
-
-SEED_ENV_VAR = "NGPR_SEED"
 
 DEFAULTS = {
     "kernel.family": "se",
@@ -78,13 +79,9 @@ def _apply_set(cfg: dict[str, str], pairs) -> None:
 
 
 def load_config(args) -> dict[str, str]:
-    """Defaults, then the env-var seed, the config file, --set pairs, and flags."""
+    """``DEFAULTS``, then the ``-c`` config file, then the ``--set`` pairs."""
     cfg = dict(DEFAULTS)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg["sampler.seed"] = env_seed
-        cfg["gen.seed"] = env_seed
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
@@ -93,14 +90,7 @@ def load_config(args) -> dict[str, str]:
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from exc
         _update(cfg, file_cfg, str(path))
-    _apply_set(cfg, getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
-        cfg["sampler.seed"] = str(args.seed)
-        cfg["gen.seed"] = str(args.seed)
-    if getattr(args, "levy", None):
-        cfg["levy.family"] = args.levy
-    if getattr(args, "chains", None) is not None:
-        cfg["sampler.n_chains"] = str(args.chains)
+    _apply_set(cfg, args.set)
     return cfg
 
 
@@ -115,7 +105,7 @@ def _get(cfg: dict[str, str], key: str, convert):
 
 def kernel_from_config(cfg: dict[str, str]) -> KernelSpec:
     return KernelSpec(
-        family=cfg["kernel.family"],
+        family=_get(cfg, "kernel.family", str),
         length_scale=_get(cfg, "kernel.length_scale", float),
         signal_variance=_get(cfg, "kernel.signal_variance", float),
         jitter=_get(cfg, "kernel.jitter", float),
@@ -123,13 +113,13 @@ def kernel_from_config(cfg: dict[str, str]) -> KernelSpec:
 
 
 def levy_from_config(cfg: dict[str, str]) -> LevyMeasureSpec | None:
-    family = cfg["levy.family"]
+    family = _get(cfg, "levy.family", str)
     if family == "identity":
         return None
     alpha = _get(cfg, "levy.alpha", float)
     beta = _get(cfg, "levy.beta", float)
-    raw_c = cfg.get("levy.c", "auto")
-    C = normalize_scale(alpha, beta, family) if raw_c == "auto" else float(raw_c)
+    C = (normalize_scale(alpha, beta, family) if _get(cfg, "levy.c", str) == "auto"
+         else _get(cfg, "levy.c", float))
     return LevyMeasureSpec(family=family, C=C, alpha=alpha, beta=beta,
                            n_terms=_get(cfg, "levy.n_terms", int))
 
@@ -145,14 +135,14 @@ def sampler_from_config(cfg: dict[str, str]) -> SamplerConfig:
 
 def genspec_from_config(cfg: dict[str, str]) -> GenSpec:
     return GenSpec(
-        domains=serialize.parse_domains(cfg["gen.domain"]),
+        domains=_get(cfg, "gen.domain", serialize.parse_domains),
         n_points=_get(cfg, "gen.n_points", int),
         n_observed=_get(cfg, "gen.n_observed", int),
         kernel=kernel_from_config(cfg),
         levy=levy_from_config(cfg),
         noise_std=_get(cfg, "gen.noise_std", float),
         seed=_get(cfg, "gen.seed", int),
-        grid=cfg["gen.grid"],
+        grid=_get(cfg, "gen.grid", str),
     )
 
 
@@ -166,10 +156,6 @@ def _require_parent(path: Path) -> Path:
     if not path.parent.is_dir():
         raise UsageError(f"output directory does not exist: {path.parent}")
     return path
-
-
-def _echo_config(out_dir: Path, cfg: dict[str, str]) -> None:
-    (out_dir / "config.txt").write_text(serialize.format_kv_text(cfg))
 
 
 def _write_posterior(path: Path, X, moments, noise_variance: float) -> None:
@@ -188,17 +174,17 @@ def cmd_gen(args) -> int:
     cfg = load_config(args)
     out_dir = _require_dir(Path(args.out))
     spec = genspec_from_config(cfg)
+    if spec.levy is not None:
+        cfg["levy.c"] = repr(float(spec.levy.C))
     data = generate(spec, np.random.default_rng(spec.seed))
     with open(out_dir / "dataset.csv", "w", newline="") as fp:
         serialize.write_dataset_csv(fp, data.X, data.y, data.observed)
-    (out_dir / "dataset.meta").write_text(
-        serialize.format_kv_text(serialize.genspec_to_kv(spec)))
+    (out_dir / "dataset.meta").write_text(serialize.format_kv_text(cfg))
     with open(out_dir / "true_path.csv", "w", newline="") as fp:
         if data.true_path is None:
             fp.write("dim,position,magnitude\n")
         else:
             serialize.write_jumps_csv(fp, data.true_path)
-    _echo_config(out_dir, cfg)
     print(f"wrote dataset.csv ({data.X.shape[0]} rows), dataset.meta, true_path.csv "
           f"to {out_dir}")
     return 0
@@ -309,7 +295,7 @@ def cmd_fit(args) -> int:
         gp_mean = lik.posterior(None, X[held]).mean
         summary["rmse_gp"] = float(np.sqrt(np.mean((gp_mean - held_y) ** 2)))
 
-    _echo_config(out_dir, cfg)
+    (out_dir / "config.txt").write_text(serialize.format_kv_text(cfg))
     # summary.json is written last: a bundle without it is partial
     (out_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -333,10 +319,10 @@ def cmd_predict(args) -> int:
     _apply_set(cfg, args.set)
     out_path = _require_parent(Path(args.out))
 
-    data_path = Path(args.data) if args.data else Path(cfg["io.dataset"])
+    data_path = Path(args.data) if args.data else _get(cfg, "io.dataset", Path)
     X, y, observed, _meta = _load_dataset(data_path)
     noise_variance = _get(cfg, "noise.variance", float)
-    domains = serialize.parse_domains(cfg["fit.domain"])
+    domains = _get(cfg, "fit.domain", serialize.parse_domains)
     kspec = kernel_from_config(cfg)
     data = RegressionData(X[observed], y[observed], noise_variance)
 
@@ -377,7 +363,7 @@ def cmd_simulate(args) -> int:
     lspec = levy_from_config(cfg)
     if lspec is None:
         raise UsageError("simulate requires a subordinator family, not identity")
-    domains = serialize.parse_domains(cfg["gen.domain"])
+    domains = _get(cfg, "gen.domain", serialize.parse_domains)
     rng = np.random.default_rng(_get(cfg, "gen.seed", int))
     path = simulate_path(lspec, domains, rng)
     with open(out_path, "w", newline="") as fp:
@@ -434,12 +420,10 @@ def cmd_normalize(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser, with_seed=True):
+def _add_common(parser):
     parser.add_argument("-c", "--config", help="dotted-key config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config entry (repeatable)")
-    if with_seed:
-        parser.add_argument("--seed", type=int, help="random seed override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     _add_common(p)
-    p.add_argument("--levy", help="subordinator family (or 'identity')")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
@@ -459,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--true-path", help="generating-path CSV for the likelihood-under-truth")
-    p.add_argument("--chains", type=int, help="number of independent chains")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="predict at new inputs from a fit bundle")
@@ -472,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate raw subordinator paths")
     _add_common(p)
-    p.add_argument("--levy", help="subordinator family")
     p.add_argument("--out", required=True, help="output jumps CSV")
     p.add_argument("--eval-points", type=int, default=0,
                    help="also evaluate the path on a grid of this many points")

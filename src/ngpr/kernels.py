@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 SQUARED_EXPONENTIAL = "se"
 MATERN52 = "matern52"
@@ -88,19 +87,21 @@ def build_gram(points_a: np.ndarray, points_b: np.ndarray | None,
     With ``points_b=None`` the matrix is built on ``points_a`` against
     itself and ``spec.jitter * signal_variance`` is added to the diagonal.
     Cross Gram matrices get no stabilizer, even when both point sets are
-    the same array.  One-dimensional points take their distances as
-    ``|a_i - b_j|``, which is ``cdist``'s ``sqrt((a_i - b_j)^2)`` unless that
-    square underflows.
+    the same array.  Distances start at ``|a_i0 - b_j0|`` and fold in each
+    further coordinate with ``hypot``: in one dimension that is ``cdist``'s
+    ``sqrt((a_i - b_j)^2)`` unless that square underflows, and in more it
+    agrees with ``cdist`` to rounding.
     """
     a = as_point_matrix(points_a)
     b = a if points_b is None else as_point_matrix(points_b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.empty((a.shape[0], b.shape[0]))
-    if a.shape[1] == b.shape[1] == 1:
-        r = np.subtract.outer(a[:, 0], b[:, 0])
-        np.abs(r, out=r)
-    else:
-        r = cdist(a, b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"points of dimension {a.shape[1]} and {b.shape[1]}")
+    r = np.subtract.outer(a[:, 0], b[:, 0])
+    np.abs(r, out=r)
+    for k in range(1, a.shape[1]):
+        np.hypot(r, np.subtract.outer(a[:, k], b[:, k]), out=r)
     gram = _covariance(spec, r)
     if points_b is None:
         gram.ravel()[::a.shape[0] + 1] += spec.jitter * spec.signal_variance

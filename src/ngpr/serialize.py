@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datagen import GenSpec
 from .levy import JumpSet, SubordinatorPath
 
 
@@ -163,32 +162,6 @@ def read_inputs_csv(fp) -> np.ndarray:
         raise ValueError(f"expected leading x_0..x_{{d-1}} columns, got header {header}")
     rows = [[float(v) for v in row[:d]] for row in reader if row]
     return np.asarray(rows, dtype=float).reshape(-1, d)
-
-
-def genspec_to_kv(spec: GenSpec) -> dict[str, str]:
-    kv = {
-        "gen.domain": format_domains(spec.domains),
-        "gen.n_points": str(spec.n_points),
-        "gen.n_observed": str(spec.n_observed),
-        "gen.noise_std": _fmt(spec.noise_std),
-        "gen.seed": str(spec.seed),
-        "gen.grid": spec.grid,
-        "kernel.family": spec.kernel.family,
-        "kernel.length_scale": _fmt(spec.kernel.length_scale),
-        "kernel.signal_variance": _fmt(spec.kernel.signal_variance),
-        "kernel.jitter": _fmt(spec.kernel.jitter),
-    }
-    if spec.levy is None:
-        kv["levy.family"] = "identity"
-    else:
-        kv.update({
-            "levy.family": spec.levy.family,
-            "levy.c": _fmt(spec.levy.C),
-            "levy.alpha": _fmt(spec.levy.alpha),
-            "levy.beta": _fmt(spec.levy.beta),
-            "levy.n_terms": str(spec.levy.n_terms),
-        })
-    return kv
 
 
 def parse_domains(text: str) -> tuple[tuple[float, float], ...]:

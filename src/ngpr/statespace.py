@@ -254,11 +254,9 @@ class StateSpaceLikelihood:
         self._pinf = s2 * np.array([[1.0, 0.0, -lam ** 2 / 3], [0.0, lam ** 2 / 3, 0.0],
                                     [-lam ** 2 / 3, 0.0, lam ** 4]])
         n = self._x.size
-        # filtered mean, covariance and cumulative log-likelihood per sorted point
-        self._m = np.empty((n, 3))
-        self._P = np.empty((n, 3, 3))
-        self._ll = np.empty(n)
         self._valid = 0  # points whose filtered state belongs to the current path
+        # filtered mean, covariance and cumulative log-likelihood of sorted point _valid - 1
+        self._state = None
         # backward messages: log beta_i(s) = c_i - s'Lam_i s / 2 + eta_i's
         self._lam_info = np.zeros((n, 3, 3))
         self._eta = np.zeros((n, 3))
@@ -280,7 +278,7 @@ class StateSpaceLikelihood:
     def _filter(self, start: int, w: np.ndarray):
         """Filter sorted points ``start, start+1, ...`` at warped values ``w``.
 
-        The run begins at the cached filtered state of point ``start - 1``,
+        The run begins at the carried filtered state of point ``start - 1``,
         whose warped value is ``w[0]``, or at the stationary prior when
         ``start`` is 0 (then ``w`` holds only the filtered points).  Returns
         the filtered means, covariances and cumulative log-likelihoods.
@@ -289,7 +287,7 @@ class StateSpaceLikelihood:
             m, P, ll = np.zeros(3), self._pinf, 0.0
             gaps = np.diff(w, prepend=w[:1])
         else:
-            m, P, ll = self._m[start - 1], self._P[start - 1], self._ll[start - 1]
+            m, P, ll = self._state
             gaps = np.diff(w)
         k = gaps.size
         ms, Ps, lls = np.empty((k, 3)), np.empty((k, 3, 3)), np.empty(k)
@@ -436,7 +434,7 @@ class StateSpaceLikelihood:
         a, b = self._span(dim, interval)
         stop = min(b + 1, self.n)
         if a == stop:  # no point at or right of the interval
-            ll, states = float(self._ll[a - 1]), None
+            ll, states = float(self._state[2]), None
         else:
             states = self._filter(a, candidate.values(self._x[max(a - 1, 0):stop]))
             ms, Ps, lls = states
@@ -454,7 +452,7 @@ class StateSpaceLikelihood:
             if not accepted:
                 states = self._filter(a, self._path.values(self._x[max(a - 1, 0):b]))
             ms, Ps, lls = states
-            self._m[a:b], self._P[a:b], self._ll[a:b] = ms[:b - a], Ps[:b - a], lls[:b - a]
+            self._state = ms[b - a - 1], Ps[b - a - 1], lls[b - a - 1]
         self._valid = b
 
     def _gains(self, P_next: np.ndarray, AP: np.ndarray, gaps: np.ndarray, where) -> np.ndarray:

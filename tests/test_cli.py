@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ngpr import (NumericalError, RegressionData, cli, gp, gp_log_marginal_likelihood,
-                  log_conditional_likelihood, sampler, serialize)
+from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData, cli,
+                  gp, gp_log_marginal_likelihood, log_conditional_likelihood,
+                  normalize_scale, sampler, serialize)
 from ngpr.statespace import StateSpaceLikelihood
 
 FAST_CONFIG = """
@@ -71,10 +72,37 @@ def test_gen_outputs_and_determinism(workdir):
 
 
 def test_gen_identity_levy_flag(workdir):
-    out = _gen(workdir, "data_id", extra=("--levy", "identity"))
+    out = _gen(workdir, "data_id", extra=("--set", "levy.family=identity"))
     assert out.joinpath("true_path.csv").read_text() == "dim,position,magnitude\n"
     meta = serialize.parse_kv_text((out / "dataset.meta").read_text())
     assert meta["levy.family"] == "identity"
+
+
+@pytest.mark.parametrize("family", ["tempered_stable", "identity"])
+def test_dataset_meta_regenerates_the_dataset(workdir, family):
+    """``dataset.meta`` is gen's one echo; given back with ``-c`` it reproduces every file."""
+    data_dir = _gen(workdir, extra=("--set", f"levy.family={family}"))
+    names = ["dataset.csv", "dataset.meta", "true_path.csv"]
+    assert sorted(f.name for f in data_dir.iterdir()) == names
+    out = workdir / "regen"
+    out.mkdir()
+    assert cli.main(["gen", "-c", str(data_dir / "dataset.meta"), "--out", str(out)]) == 0
+    for name in names:
+        assert (out / name).read_bytes() == (data_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("family", ["tempered_stable", "identity"])
+def test_dataset_meta_resolves_to_the_genspec(workdir, family):
+    data_dir = _gen(workdir, extra=("--set", f"levy.family={family}",
+                                    "--set", "kernel.family=matern52"))
+    meta = serialize.parse_kv_text((data_dir / "dataset.meta").read_text())
+    levy = None if family == "identity" else LevyMeasureSpec(
+        family, C=normalize_scale(0.8, 5.0, family), alpha=0.8, beta=5.0, n_terms=150)
+    spec = GenSpec(domains=((0.0, 0.5),), n_points=40, n_observed=32,
+                   kernel=KernelSpec("matern52", 0.1, 1.0, 1e-8), levy=levy,
+                   noise_std=0.1, seed=4)
+    assert cli.genspec_from_config(meta) == spec
+    assert meta["levy.c"] == ("auto" if levy is None else repr(float(levy.C)))
 
 
 def test_gen_missing_output_dir_exits_2(workdir, capsys):
@@ -138,7 +166,7 @@ def test_fit_is_byte_deterministic(workdir):
 
 def test_fit_multi_chain_outputs(workdir):
     data_dir = _gen(workdir)
-    fit_dir = _fit(workdir, data_dir, "fitmc", extra=("--chains", "2"))
+    fit_dir = _fit(workdir, data_dir, "fitmc", extra=("--set", "sampler.n_chains=2"))
     assert (fit_dir / "trace_chain0.csv").is_file()
     assert (fit_dir / "paths_chain1.csv").is_file()
     summary = json.loads((fit_dir / "summary.json").read_text())
@@ -153,6 +181,29 @@ def test_fit_multi_chain_outputs(workdir):
         counts += [rows[str(sweep)] for sweep in range(8 - per_chain, 8)]
     assert summary["jumps_per_path"] == {"min": min(counts), "mean": np.mean(counts),
                                          "max": max(counts)}
+
+
+def test_fit_reads_a_genspec_only_dataset_meta(workdir):
+    """A sidecar of the generating spec alone, as earlier versions wrote, resolves the auto keys."""
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    assert serialize.parse_kv_text((fit_dir / "config.txt").read_text())["fit.domain"] == "0,0.5"
+    levy_c = serialize.parse_kv_text((data_dir / "dataset.meta").read_text())["levy.c"]
+    old = workdir / "old"
+    old.mkdir()
+    (old / "dataset.csv").write_bytes((data_dir / "dataset.csv").read_bytes())
+    (old / "dataset.meta").write_text(
+        "gen.domain = 0.0,0.5\ngen.grid = even\ngen.n_observed = 32\ngen.n_points = 40\n"
+        "gen.noise_std = 0.1\ngen.seed = 4\nkernel.family = se\nkernel.jitter = 1e-08\n"
+        "kernel.length_scale = 0.1\nkernel.signal_variance = 1.0\nlevy.alpha = 0.8\n"
+        f"levy.beta = 5.0\nlevy.c = {levy_c}\nlevy.family = tempered_stable\n"
+        "levy.n_terms = 150\n")
+    old_fit = _fit(workdir, old, "fit_old")
+    echoed = serialize.parse_kv_text((old_fit / "config.txt").read_text())
+    assert echoed["fit.domain"] == "0.0,0.5"
+    assert echoed["noise.variance"] == repr(0.1 ** 2)
+    for name in ("summary.json", "posterior.csv", "trace.csv", "paths.csv"):
+        assert (old_fit / name).read_bytes() == (fit_dir / name).read_bytes(), name
 
 
 def test_fit_without_metadata_requires_noise(workdir, tmp_path):
@@ -224,7 +275,7 @@ def test_failed_refit_leaves_no_stale_summary(workdir, monkeypatch, capsys):
     fit_dir = _fit(workdir, data_dir)
     before = {f.name: f.read_bytes() for f in fit_dir.iterdir()}
     argv = ["fit", "-c", str(workdir / "config.txt"), "--data", str(data_dir / "dataset.csv"),
-            "--out", str(fit_dir), "--seed", "99"]
+            "--out", str(fit_dir), "--set", "sampler.seed=99"]
     # a missing --true-path is reported before the chain overwrites anything
     assert cli.main([*argv, "--true-path", str(workdir / "absent.csv")]) == 2
     assert "absent.csv" in capsys.readouterr().err
@@ -304,15 +355,16 @@ def _predict_matches_fit(fit_dir, data_dir, out_csv):
 
 def test_predict_ignores_paths_files_of_an_earlier_fit(workdir):
     data_dir = _gen(workdir)
-    fit_dir = _fit(workdir, data_dir, extra=("--chains", "3"))
-    _fit(workdir, data_dir, extra=("--chains", "1"))
+    fit_dir = _fit(workdir, data_dir, extra=("--set", "sampler.n_chains=3"))
+    _fit(workdir, data_dir, extra=("--set", "sampler.n_chains=1"))
     assert (fit_dir / "paths_chain2.csv").is_file() and (fit_dir / "paths.csv").is_file()
     _predict_matches_fit(fit_dir, data_dir, workdir / "pred.csv")
 
 
 def test_predict_reads_the_chains_in_order(workdir, monkeypatch):
     data_dir = _gen(workdir)
-    fit_dir = _fit(workdir, data_dir, extra=("--chains", "11", "--set", "sampler.n_sweeps=2",
+    fit_dir = _fit(workdir, data_dir, extra=("--set", "sampler.n_chains=11",
+                                             "--set", "sampler.n_sweeps=2",
                                              "--set", "sampler.n_intervals=3"))
     read = []
     real = serialize.read_sampled_paths_csv
@@ -324,7 +376,7 @@ def test_predict_reads_the_chains_in_order(workdir, monkeypatch):
 
 def test_predict_names_a_missing_paths_file(workdir, capsys):
     data_dir = _gen(workdir)
-    fit_dir = _fit(workdir, data_dir, extra=("--chains", "2"))
+    fit_dir = _fit(workdir, data_dir, extra=("--set", "sampler.n_chains=2"))
     (fit_dir / "paths_chain1.csv").unlink()
     out_csv = workdir / "pred.csv"
     rc = cli.main(["predict", "--bundle", str(fit_dir),
@@ -348,6 +400,22 @@ def test_predict_reports_the_sweep_of_a_failed_posterior(workdir, monkeypatch, c
                    "--inputs", str(data_dir / "dataset.csv"), "--out", str(workdir / "p.csv")])
     assert rc == 1
     assert f"posterior at sweep {first}: synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["kernel.family", "fit.domain", "io.dataset"])
+def test_predict_names_a_key_missing_from_the_bundle(workdir, key, capsys):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    config = fit_dir / "config.txt"
+    cfg = serialize.parse_kv_text(config.read_text())
+    del cfg[key]
+    config.write_text(serialize.format_kv_text(cfg))
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(fit_dir),
+                   "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
+    assert rc == 2
+    assert f"missing config key {key!r}" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_predict_empty_inputs_gives_header_only(workdir):
@@ -403,7 +471,7 @@ def test_predict_rejects_paths_row_with_unknown_dim(workdir, capsys):
 
 def test_simulate_writes_jumps_and_values(workdir):
     out_csv = workdir / "jumps.csv"
-    rc = cli.main(["simulate", "-c", str(workdir / "config.txt"), "--seed", "3",
+    rc = cli.main(["simulate", "-c", str(workdir / "config.txt"), "--set", "gen.seed=3",
                    "--out", str(out_csv), "--eval-points", "50"])
     assert rc == 0
     with open(out_csv) as fp:
@@ -419,7 +487,7 @@ def test_simulate_writes_jumps_and_values(workdir):
 def test_simulate_is_seed_deterministic(workdir):
     a, b = workdir / "a.csv", workdir / "b.csv"
     for out in (a, b):
-        rc = cli.main(["simulate", "-c", str(workdir / "config.txt"), "--seed", "5",
+        rc = cli.main(["simulate", "-c", str(workdir / "config.txt"), "--set", "gen.seed=5",
                        "--out", str(out)])
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
@@ -468,18 +536,38 @@ def test_set_overrides_config_file(workdir):
     assert X.shape[0] == 12
 
 
-def test_env_var_provides_default_seed(workdir, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "321")
-    out = workdir / "data_env"
+def test_seed_environment_variable_changes_nothing(workdir, monkeypatch):
+    # seeds left to their defaults, which an environment variable once replaced
+    (workdir / "config.txt").write_text("\n".join(
+        line for line in FAST_CONFIG.splitlines()
+        if not line.startswith(("gen.seed", "sampler.seed"))))
+    data = _gen(workdir, "data")
+    fit = _fit(workdir, data, "fit")
+    monkeypatch.setenv("NGPR_SEED", "321")
+    data_env = _gen(workdir, "data_env")
+    fit_env = _fit(workdir, data, "fit_env")
+    for name in ("dataset.csv", "dataset.meta", "true_path.csv"):
+        assert (data_env / name).read_bytes() == (data / name).read_bytes(), name
+    for name in ("summary.json", "posterior.csv", "trace.csv", "paths.csv", "config.txt"):
+        assert (fit_env / name).read_bytes() == (fit / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, flag", [("gen", "--seed"), ("gen", "--levy"),
+                                           ("fit", "--seed"), ("fit", "--chains"),
+                                           ("simulate", "--seed"), ("simulate", "--levy")])
+def test_removed_flags_exit_2(workdir, command, flag, capsys):
+    """Seeds, the subordinator family and the chain count are set with ``--set``."""
+    out = workdir / "out"
     out.mkdir()
-    # strip the seed from the config so the env default applies
-    text = "\n".join(line for line in FAST_CONFIG.splitlines()
-                     if not line.startswith(("gen.seed", "sampler.seed")))
-    (workdir / "noseed.txt").write_text(text)
-    rc = cli.main(["gen", "-c", str(workdir / "noseed.txt"), "--out", str(out)])
-    assert rc == 0
-    meta = serialize.parse_kv_text((out / "dataset.meta").read_text())
-    assert meta["gen.seed"] == "321"
+    target = out / "path.csv" if command == "simulate" else out
+    argv = [command, "-c", str(workdir / "config.txt"), "--out", str(target)]
+    if command == "fit":
+        argv += ["--data", str(_gen(workdir) / "dataset.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_unknown_config_file_exits_2(workdir, capsys):
@@ -497,6 +585,17 @@ def test_unknown_set_key_exits_2(workdir, capsys):
     assert rc == 2
     assert "'gen.n_point'" in capsys.readouterr().err
     assert not (out / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["levy.c", "gen.n_points", "gen.domain"])
+def test_unparsable_value_names_its_key(workdir, key, capsys):
+    out = workdir / "data_bad"
+    out.mkdir()
+    rc = cli.main(["gen", "-c", str(workdir / "config.txt"), "--out", str(out),
+                   "--set", f"{key}=abc"])
+    assert rc == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_unknown_config_file_key_exits_2(workdir, capsys):

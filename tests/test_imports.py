@@ -1,8 +1,11 @@
 """Each ``ngpr`` module imports first, from a clean module table: no module-level import cycle."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,14 @@ def test_module_imports_first(name):
 
 def test_every_module_is_listed():
     assert {"ngpr.cli", "ngpr.gp", "ngpr.sampler", "ngpr.statespace"} <= set(MODULES)
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    """The distance code needs no ``scipy.spatial``, whose import is slow."""
+    src = str(Path(ngpr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ngpr.cli; print('scipy.spatial' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -6,7 +6,7 @@ from scipy.linalg import cholesky
 from scipy.spatial.distance import cdist
 
 from ngpr import (MATERN52, SQUARED_EXPONENTIAL, JumpSet, KernelSpec, SubordinatorPath,
-                  build_gram, kernel_value, warp_inputs)
+                  build_gram, kernel_value, kernels, warp_inputs)
 
 import oracles
 
@@ -142,3 +142,19 @@ def test_one_dimensional_gram_matches_the_cdist_reference_bitwise(family):
     empty = np.empty((0, 1))
     for x, y, shape in ((empty, None, (0, 0)), (empty, a, (0, 40)), (a, empty, (40, 0))):
         assert build_gram(x, y, spec).shape == shape
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_multidimensional_distances_match_cdist(d, monkeypatch):
+    rng = np.random.default_rng(d)
+    a, b = rng.uniform(-1.0, 2.0, (40, d)), rng.uniform(-1.0, 2.0, (25, d))
+    a[7] = a[3]
+    spec = KernelSpec(MATERN52, length_scale=0.3, jitter=1e-6)
+    gram = build_gram(a, None, spec)
+    assert _bits(gram) == _bits(gram.T)
+    with pytest.raises(ValueError, match="dimension"):
+        build_gram(a, b[:, 1:], spec)
+    # with the covariance step skipped, a cross Gram is its distance matrix
+    monkeypatch.setattr(kernels, "_covariance", lambda spec, r: r)
+    for x, y in ((a, b), (a, a), (b, a)):
+        np.testing.assert_allclose(build_gram(x, y, spec), cdist(x, y), rtol=1e-15, atol=0)

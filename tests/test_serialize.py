@@ -5,8 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from ngpr import GenSpec, KernelSpec, LevyMeasureSpec, normalize_scale, simulate_path
-from ngpr import cli, serialize
+from ngpr import LevyMeasureSpec, serialize, simulate_path
 from ngpr.sampler import TraceStep, init_identity
 
 
@@ -125,21 +124,6 @@ def test_kv_text_roundtrip():
         "kernel.family": "se"}
     with pytest.raises(ValueError):
         serialize.parse_kv_text("not a pair\n")
-
-
-def test_genspec_kv_roundtrip():
-    spec = GenSpec(
-        domains=((0.0, 0.5),), n_points=100, n_observed=80,
-        kernel=KernelSpec("matern52", 0.1, 1.0, 1e-8),
-        levy=LevyMeasureSpec("tempered_stable",
-                             C=normalize_scale(0.8, 5.0, "tempered_stable"),
-                             alpha=0.8, beta=5.0, n_terms=1000),
-        noise_std=0.1, seed=9)
-    back = cli.genspec_from_config(serialize.genspec_to_kv(spec))
-    assert back == spec
-    identity = GenSpec(domains=((0.0, 1.0),), n_points=10, n_observed=5,
-                       kernel=KernelSpec(), levy=None, noise_std=0.0, seed=1)
-    assert cli.genspec_from_config(serialize.genspec_to_kv(identity)) == identity
 
 
 def test_domain_string_roundtrip():
