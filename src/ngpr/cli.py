@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -371,14 +370,13 @@ def cmd_simulate(args) -> int:
     if args.eval_points:
         eval_path = _require_parent(Path(args.eval_out)) if args.eval_out \
             else out_path.with_name(out_path.stem + "_values.csv")
+        grids = [np.linspace(lo, hi, args.eval_points) for lo, hi in domains]
+        dims = np.repeat(np.arange(len(domains)), args.eval_points)
+        values = [path.values(grid, dim) for dim, grid in enumerate(grids)]
         with open(eval_path, "w", newline="") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(["dim", "x", "w"])
-            for dim, (lo, hi) in enumerate(domains):
-                grid = np.linspace(lo, hi, args.eval_points)
-                values = path.values(grid, dim)
-                for xv, wv in zip(grid, values):
-                    writer.writerow([dim, repr(float(xv)), repr(float(wv))])
+            serialize.write_csv(fp, ["dim", "x", "w"], zip(
+                map(str, dims.tolist()), serialize.floats(np.concatenate(grids)),
+                serialize.floats(np.concatenate(values))))
         print(f"wrote path values to {eval_path}")
     print(f"wrote {path.n_jumps()} jumps to {out_path}")
     return 0
@@ -393,26 +391,21 @@ def cmd_normalize(args) -> int:
     if not in_path.is_file():
         raise UsageError(f"input CSV not found: {in_path}")
     out_path = _require_parent(Path(args.out))
-    with open(in_path, newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader)
-        rows = [row for row in reader if row]
+    header, lines = serialize.split_csv(in_path.read_text())
     d = sum(1 for name in header if name.startswith("x_"))
     if d < 1:
         raise UsageError(f"no x_* columns in {in_path}")
-    cols = np.asarray([[float(v) for v in row[:d]] for row in rows], dtype=float)
-    cols = cols.reshape(-1, d)
+    cols = serialize.parse_rows(lines, d)
     for k in range(d):
         lo, hi = cols[:, k].min(), cols[:, k].max()
         if lo == hi:
             raise UsageError(f"column x_{k} is constant; cannot rescale to [0, 1]")
         cols[:, k] = (cols[:, k] - lo) / (hi - lo)
+    rest = [line.split(",", d)[d:] for line in lines if line]  # the other fields, verbatim
     with open(out_path, "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        for i, row in enumerate(rows):
-            writer.writerow([repr(float(v)) for v in cols[i]] + row[d:])
-    print(f"rescaled {d} input columns over {len(rows)} rows to {out_path}")
+        serialize.write_csv(fp, header, [[*xs, *tail] for xs, tail in zip(
+            zip(*map(serialize.floats, cols.T)), rest)])
+    print(f"rescaled {d} input columns over {cols.shape[0]} rows to {out_path}")
     return 0
 
 

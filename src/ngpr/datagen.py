@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
+from scipy.linalg.lapack import dpotrf
 
 from .errors import NumericalError
 from .kernels import KernelSpec, build_gram
@@ -86,11 +86,14 @@ def generate(spec: GenSpec, rng: np.random.Generator) -> SyntheticDataset:
     X = _input_grid(spec, rng)
     path = None if spec.levy is None else simulate_path(spec.levy, spec.domains, rng)
     Xw = warp_inputs(path, X)
+    if not np.all(np.isfinite(Xw)):
+        raise NumericalError(f"non-finite warped inputs (n={X.shape[0]})")
     K = build_gram(Xw, None, spec.kernel)
-    try:
-        L = cholesky(K, lower=True)
-    except LinAlgError as exc:
-        raise NumericalError(f"prior Gram factorization failed (n={X.shape[0]}): {exc}") from exc
+    # K is symmetric: K.T is the same matrix in the Fortran order dpotrf factors in place.
+    L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"prior Gram factorization failed (n={X.shape[0]}): "
+                             f"leading minor {info} is not positive definite")
     f = L @ rng.standard_normal(X.shape[0])
     y = f + spec.noise_std * rng.standard_normal(X.shape[0])
     observed = np.zeros(spec.n_points, dtype=bool)

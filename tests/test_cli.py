@@ -1,5 +1,6 @@
 """Command-line pipeline: gen, fit, predict, simulate, normalize."""
 
+import io
 import json
 import time
 from collections import Counter
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData, cli,
                   gp, gp_log_marginal_likelihood, log_conditional_likelihood,
                   normalize_scale, sampler, serialize)
@@ -465,6 +467,20 @@ def test_predict_rejects_paths_row_with_unknown_dim(workdir, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("row", ["0,0.1\n", "0,0.1,abc,5\n", "0.5,0.1,0.2,5\n",
+                                 "0,0.1,0.2,5.5\n"])
+def test_predict_rejects_malformed_paths_row(workdir, capsys, row):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    with open(fit_dir / "paths.csv", "a") as fp:
+        fp.write(row)
+    lineno = len((fit_dir / "paths.csv").read_text().splitlines())
+    rc = cli.main(["predict", "--bundle", str(fit_dir), "--inputs",
+                   str(data_dir / "dataset.csv"), "--out", str(workdir / "pred.csv")])
+    assert rc == 2
+    assert f"line {lineno}:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -482,6 +498,20 @@ def test_simulate_writes_jumps_and_values(workdir):
     assert lines[0] == "dim,x,w"
     w = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(b >= a for a, b in zip(w, w[1:]))
+
+
+def test_simulate_values_match_the_reference_bytes(workdir):
+    out_csv = workdir / "jumps2.csv"
+    rc = cli.main(["simulate", "-c", str(workdir / "config.txt"), "--set", "gen.seed=3",
+                   "--set", "gen.domain=0,0.5;-1,2", "--out", str(out_csv),
+                   "--eval-points", "37"])
+    assert rc == 0
+    domains = [(0.0, 0.5), (-1.0, 2.0)]
+    with open(out_csv) as fp:
+        path = serialize.read_jumps_csv(fp, domains)
+    buf = io.StringIO()
+    oracles.write_path_values_csv(buf, path, domains, 37)
+    assert (workdir / "jumps2_values.csv").read_text() == buf.getvalue()
 
 
 def test_simulate_is_seed_deterministic(workdir):
@@ -511,6 +541,24 @@ def test_normalize_rescales_inputs(workdir):
     assert min(col0) == 0.0 and max(col0) == 1.0
     assert min(col1) == 0.0 and max(col1) == 1.0
     assert [r[2] for r in rows] == ["1.0", "2.0", "3.0"]
+
+
+def test_normalize_matches_the_reference_bytes(workdir, capsys):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 2)) * 10.0 ** rng.integers(-20, 20, size=(30, 2))
+    X[:3] = [[1e-5, 1e16], [-0.0, 5e-324], [1e15, -1e-4]]
+    lines = [f"{a!r},{b!r},{c!r},tag{i}"
+             for i, (a, b, c) in enumerate(zip(*X.T.tolist(), rng.random(30).tolist()))]
+    src = workdir / "messy.csv"
+    src.write_bytes(("x_0,x_1,y,tag\r\n" + "\r\n".join(lines[:10] + [""] + lines[10:])
+                     + "\r\n\r\n").encode())
+    out, ref = workdir / "scaled.csv", workdir / "scaled_ref.csv"
+    assert cli.main(["normalize", "--data", str(src), "--out", str(out)]) == 0
+    oracles.normalize_csv(src, ref)
+    assert out.read_bytes() == ref.read_bytes()
+    src.write_text("x_0,x_1,y\n2.0,1.0,1\n3.0\n")
+    assert cli.main(["normalize", "--data", str(src), "--out", str(out)]) == 2
+    assert "line 3:" in capsys.readouterr().err
 
 
 def test_normalize_rejects_constant_column(workdir, capsys):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, generate, kernel_value,
-                  normalize_scale)
+from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, NumericalError, build_gram, datagen,
+                  generate, kernel_value, normalize_scale, simulate_path, warp_inputs)
 
 KSPEC = KernelSpec("se", 0.1, 1.0, jitter=1e-8)
 
@@ -96,3 +97,30 @@ def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(domains=((1.0, 1.0),), n_points=5, n_observed=5, kernel=KSPEC,
                 levy=None, noise_std=0.1)
+
+
+def test_prior_draw_is_the_lower_cholesky_factor_times_normals():
+    """``f = L z`` with ``L`` equal to ``scipy.linalg.cholesky``'s lower factor, bit for bit."""
+    kspec = KernelSpec("matern52", 0.1, 1.0)
+    lspec = LevyMeasureSpec("tempered_stable", C=normalize_scale(0.8, 5.0, "tempered_stable"),
+                            alpha=0.8, beta=5.0, n_terms=300)
+    spec = GenSpec(domains=((0.0, 1.0),), n_points=300, n_observed=100, kernel=kspec,
+                   levy=lspec, noise_std=0.0, seed=3)
+    ds = generate(spec, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    path = simulate_path(lspec, spec.domains, rng)
+    L = scipy.linalg.cholesky(build_gram(warp_inputs(path, ds.X), None, kspec), lower=True)
+    assert np.array_equal(ds.y, L @ rng.standard_normal(300))
+
+
+def test_prior_factorization_failures_raise_numerical_error(monkeypatch):
+    spec = GenSpec(domains=((0.0, 1.0),), n_points=6, n_observed=6, kernel=KSPEC,
+                   levy=None, noise_std=0.1, seed=0)
+    with monkeypatch.context() as m:
+        m.setattr(datagen, "build_gram", lambda X, _, kspec: -np.eye(X.shape[0]))
+        with pytest.raises(NumericalError, match=r"prior Gram factorization failed \(n=6\)"):
+            generate(spec, np.random.default_rng(0))
+    with monkeypatch.context() as m:
+        m.setattr(datagen, "warp_inputs", lambda path, X: np.where(X > 0.5, np.nan, X))
+        with pytest.raises(NumericalError, match=r"non-finite warped inputs \(n=6\)"):
+            generate(spec, np.random.default_rng(0))
