@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, RegressionData, SamplerConfig,
-                  generate, gp_log_marginal_likelihood, grid_search_length_scale,
+                  generate, grid_search_length_scale,
                   log_conditional_likelihood, normalize_scale, posterior,
                   predictive_moments, run_mh_gibbs)
 
@@ -42,7 +42,7 @@ print(f"avg log cond. likelihood {mix.avg_log_cond_lik:.2f} "
       f"(std {mix.std_log_cond_lik:.2f})")
 print(f"likelihood under truth   "
       f"{log_conditional_likelihood(data, ds.true_path, kspec):.2f}")
-print(f"plain GP, true l=0.1     {gp_log_marginal_likelihood(data, kspec):.2f}")
+print(f"plain GP, true l=0.1     {log_conditional_likelihood(data, None, kspec):.2f}")
 l_opt, lml_opt = grid_search_length_scale(data, kspec)
 print(f"plain GP, best l={l_opt:.4f} {lml_opt:.2f}")
 

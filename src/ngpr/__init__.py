@@ -12,8 +12,8 @@ from .levy import (GAMMA, STABLE, TEMPERED_STABLE, JumpSet, LevyMeasureSpec,
                    SubordinatorPath, assign_positions, normalize_scale, simulate_jumps,
                    simulate_path)
 from .kernels import MATERN52, SQUARED_EXPONENTIAL, KernelSpec, build_gram, kernel_value
-from .gp import (ConditionalPosterior, RegressionData, gp_log_marginal_likelihood,
-                 log_conditional_likelihood, posterior, warp_inputs)
+from .gp import (ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior,
+                 warp_inputs)
 from .sampler import (MixturePosterior, SamplerConfig, acceptance_probability,
                       grid_search_length_scale, init_identity, mixture_moments,
                       partition_edges, pool_chains, predictive_moments, propose, run_chains,
@@ -30,8 +30,7 @@ __all__ = [
     "normalize_scale",
     "KernelSpec", "SQUARED_EXPONENTIAL", "MATERN52", "kernel_value", "build_gram",
     "RegressionData", "ConditionalPosterior", "warp_inputs", "posterior",
-    "log_conditional_likelihood", "gp_log_marginal_likelihood",
-    "grid_search_length_scale",
+    "log_conditional_likelihood", "grid_search_length_scale",
     "SamplerConfig", "MixturePosterior", "init_identity", "propose",
     "acceptance_probability", "run_mh_gibbs", "run_chains", "pool_chains",
     "mixture_moments", "predictive_moments", "partition_edges",

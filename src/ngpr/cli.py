@@ -7,8 +7,8 @@ Each run echoes its effective configuration, with ``levy.c`` resolved to a
 number: ``gen`` into ``dataset.meta``, ``fit`` into the bundle's
 ``config.txt``.  ``fit`` reads only ``gen.noise_std`` and ``gen.domain`` from
 the ``.meta`` sidecar of its dataset CSV, and takes its plain-GP baselines
-from ``sampler.chain_likelihood``; ``predict`` folds the paths files of the
-bundle's ``sampler.n_chains`` chains.
+from ``sampler.chain_likelihood``.  ``predict`` folds each chain's paths file
+and pools them as ``fit`` does, writing ``posterior.csv`` at the dataset inputs.
 Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 """
 
@@ -29,7 +29,7 @@ from .gp import RegressionData
 from .kernels import KernelSpec
 from .levy import LevyMeasureSpec, normalize_scale, simulate_path
 from .sampler import (SamplerConfig, chain_likelihood, fold_posteriors,
-                      grid_search_length_scale, run_chains)
+                      grid_search_length_scale, pool_summaries, run_chains)
 
 DEFAULTS = {
     "kernel.family": "se",
@@ -198,6 +198,8 @@ def _load_dataset(path: Path):
         raise UsageError(f"dataset not found: {path}")
     with open(path, newline="") as fp:
         X, y, observed = serialize.read_dataset_csv(fp)
+    if not observed.any():
+        raise UsageError(f"dataset has no {'observed ' if observed.size else ''}rows: {path}")
     meta_path = path.with_suffix(".meta")
     meta = serialize.parse_kv_text(meta_path.read_text()) if meta_path.is_file() else {}
     return X, y, observed, meta
@@ -318,8 +320,7 @@ def cmd_predict(args) -> int:
     _apply_set(cfg, args.set)
     out_path = _require_parent(Path(args.out))
 
-    data_path = Path(args.data) if args.data else _get(cfg, "io.dataset", Path)
-    X, y, observed, _meta = _load_dataset(data_path)
+    X, y, observed, _meta = _load_dataset(_get(cfg, "io.dataset", Path))
     noise_variance = _get(cfg, "noise.variance", float)
     domains = _get(cfg, "fit.domain", serialize.parse_domains)
     kspec = kernel_from_config(cfg)
@@ -340,14 +341,17 @@ def cmd_predict(args) -> int:
             f"{cfg['fit.domain']}: rows {bad_rows[:10].tolist()}")
 
     n_chains = _get(cfg, "sampler.n_chains", int)
-    stored = []
+    lik = chain_likelihood(data, kspec)
+    summaries = []
     for suffix in [""] if n_chains == 1 else [f"_chain{i}" for i in range(n_chains)]:
-        with open(bundle / f"paths{suffix}.csv", newline="") as fp:  # a missing file exits 2
-            stored += serialize.read_sampled_paths_csv(fp, domains)
-    summary, _ = fold_posteriors(chain_likelihood(data, kspec), stored, X_new)
-    if summary is None:
-        raise UsageError(f"no stored subordinator samples in the paths files of {bundle}")
-    _write_posterior(out_path, X_new, summary, noise_variance)
+        paths_file = bundle / f"paths{suffix}.csv"
+        with open(paths_file, newline="") as fp:  # a missing file exits 2
+            stored = serialize.read_sampled_paths_csv(fp, domains)
+        summary, _ = fold_posteriors(lik, stored, X_new)
+        if summary is None:
+            raise UsageError(f"no stored subordinator samples in {paths_file}")
+        summaries.append(summary)
+    _write_posterior(out_path, X_new, pool_summaries(summaries), noise_variance)
     print(f"wrote predictions for {X_new.shape[0]} points to {out_path}")
     return 0
 
@@ -392,9 +396,10 @@ def cmd_normalize(args) -> int:
         raise UsageError(f"input CSV not found: {in_path}")
     out_path = _require_parent(Path(args.out))
     header, lines = serialize.split_csv(in_path.read_text())
-    d = sum(1 for name in header if name.startswith("x_"))
-    if d < 1:
-        raise UsageError(f"no x_* columns in {in_path}")
+    try:
+        d = serialize.input_width(header)
+    except ValueError as exc:
+        raise UsageError(f"{in_path}: {exc}") from None
     cols = serialize.parse_rows(lines, d)
     for k in range(d):
         lo, hi = cols[:, k].min(), cols[:, k].max()
@@ -441,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--bundle", required=True, help="fit output directory")
     p.add_argument("--inputs", required=True, help="CSV of new inputs (x_* columns)")
-    p.add_argument("--data", help="override the dataset path recorded in the bundle")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_predict)
 

@@ -113,7 +113,7 @@ def _factorize(data: RegressionData, path: SubordinatorPath | None, kspec: Kerne
 
 def log_conditional_likelihood(data: RegressionData, path: SubordinatorPath | None,
                                kspec: KernelSpec) -> float:
-    """log N(y; 0, K_W + noise_variance * I) on the warped inputs."""
+    """log N(y; 0, K_W + noise_variance * I) on the warped inputs (raw at ``None``)."""
     return _factorize(data, path, kspec)[3]
 
 
@@ -146,8 +146,3 @@ def posterior(data: RegressionData, X_test: np.ndarray, path: SubordinatorPath |
         )
     np.fill_diagonal(cov, np.maximum(diag, 0.0))
     return ConditionalPosterior(mean=mean, cov=cov, log_cond_lik=log_lik)
-
-
-def gp_log_marginal_likelihood(data: RegressionData, kspec: KernelSpec) -> float:
-    """Marginal likelihood of the plain GP on raw (unwarped) inputs."""
-    return log_conditional_likelihood(data, None, kspec)

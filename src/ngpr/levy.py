@@ -49,8 +49,8 @@ class LevyMeasureSpec:
 
     family: str
     C: float
-    alpha: float = 0.5
-    beta: float = 1.0
+    alpha: float = 0.8
+    beta: float = 5.0
     n_terms: int = 1000
 
     def __post_init__(self):
@@ -165,7 +165,7 @@ class SubordinatorPath:
         return tuple(js.domain for js in self.jump_sets)
 
     def values(self, x, dim: int = 0) -> np.ndarray:
-        """Evaluate W(x) for dimension ``dim`` at the points ``x``.
+        """Evaluate W(x) for dimension ``dim`` at the points ``x``, a scalar or an array.
 
         Points outside the closed domain raise ``ValueError``.
         """
@@ -178,9 +178,6 @@ class SubordinatorPath:
                 f"points outside domain [{lo}, {hi}] in dimension {dim}: {bad[:5].tolist()}"
             )
         return js.cumulative[np.searchsorted(js.positions, x, side="right")]
-
-    def value(self, x: float, dim: int = 0) -> float:
-        return float(self.values(np.asarray([x]), dim)[0])
 
     def total(self, dim: int = 0) -> float:
         """Sum of all jump magnitudes in one dimension, i.e. W at the upper bound."""

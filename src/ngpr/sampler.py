@@ -19,7 +19,7 @@ and multi-dimensional inputs have no order) evaluates the dense
 sweep keeps its path; ``fold_posteriors`` folds their conditional GP
 posteriors at the test points (state-space: Rauch-Tung-Striebel smoothing;
 dense: ``gp.posterior``) into the moments of an equally weighted Gaussian
-mixture, the regression output, for the chain and for ``ngpr predict``.
+mixture, the regression output, per chain; ``pool_summaries`` pools the chains.
 """
 
 from __future__ import annotations
@@ -122,11 +122,6 @@ class MixturePosterior:
     likelihood: str
 
     @property
-    def final_path(self) -> SubordinatorPath:
-        """The chain's last state: ``burn_in_fraction < 1`` always keeps the last sweep."""
-        return self.paths[-1]
-
-    @property
     def aggregate_mean(self) -> np.ndarray:
         return self.moments.mean
 
@@ -221,8 +216,7 @@ def mixture_moments(samples: Sequence[ConditionalPosterior]) -> tuple[np.ndarray
     for s in samples:
         if s.mean.shape != (m,) or s.cov.shape != (m, m):
             raise ValueError("inconsistent sample dimensions")
-    summary = reduce(combine, (MixtureSummary(1, s.mean, s.cov) for s in samples[1:]),
-                     MixtureSummary(1, samples[0].mean, samples[0].cov.copy()))
+    summary = pool_summaries([MixtureSummary(1, s.mean, s.cov) for s in samples])
     return summary.mean.copy(), summary.scatter / summary.count
 
 
@@ -283,17 +277,14 @@ def chain_likelihood(data: RegressionData, kspec: KernelSpec,
     return DenseLikelihood(data, kspec, log_lik_fn or log_conditional_likelihood)
 
 
-def grid_search_length_scale(data: RegressionData, kspec: KernelSpec,
-                             grid: np.ndarray | None = None) -> tuple[float, float]:
+def grid_search_length_scale(data: RegressionData, kspec: KernelSpec) -> tuple[float, float]:
     """Pick the length scale maximizing the plain-GP marginal likelihood, ``total(None)``.
 
-    The default grid is 60 log-spaced values in [1e-3, 2]; suited to
-    inputs on roughly unit-scale domains.
+    The grid is 60 log-spaced values in [1e-3, 2]; suited to inputs on
+    roughly unit-scale domains.
     """
-    if grid is None:
-        grid = np.geomspace(1e-3, 2.0, 60)
     best_l, best_lml = None, -np.inf
-    for l in grid:
+    for l in np.geomspace(1e-3, 2.0, 60):
         lml = chain_likelihood(data, replace(kspec, length_scale=float(l))).total(None)
         if lml > best_lml:
             best_l, best_lml = float(l), lml
@@ -400,13 +391,21 @@ def run_mh_gibbs(data: RegressionData, X_test: np.ndarray, kspec: KernelSpec,
     )
 
 
+def pool_summaries(summaries: Sequence[MixtureSummary]) -> MixtureSummary:
+    """A copy of the first summary ``combine``d with the rest in order; none is modified.
+
+    The one pooling fold, of ``pool_chains``, ``ngpr predict`` and ``mixture_moments``.
+    """
+    if len(summaries) < 1:
+        raise ValueError("need at least one chain")
+    first, *rest = summaries
+    return reduce(combine, rest, replace(first, scatter=first.scatter.copy()))
+
+
 def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:
     """Pool post burn-in samples of independent chains into one mixture."""
-    if len(mixes) < 1:
-        raise ValueError("need at least one chain")
     return MixturePosterior(
-        moments=reduce(combine, (mix.moments for mix in mixes[1:]),
-                       replace(mixes[0].moments, scatter=mixes[0].moments.scatter.copy())),
+        moments=pool_summaries([mix.moments for mix in mixes]),
         paths=tuple(p for mix in mixes for p in mix.paths),
         sweeps=tuple(s for mix in mixes for s in mix.sweeps),
         log_cond_liks=tuple(ll for mix in mixes for ll in mix.log_cond_liks),

@@ -167,10 +167,18 @@ def write_dataset_csv(fp, X: np.ndarray, y: np.ndarray, observed: np.ndarray) ->
                   map(str, np.asarray(observed, dtype=int).tolist())))
 
 
+def input_width(header: Sequence[str]) -> int:
+    """The ``d`` of a header that leads with ``x_0..x_{d-1}`` and has no other ``x_*`` name."""
+    d = sum(1 for name in header if name.startswith("x_"))
+    if d < 1 or list(header[:d]) != [f"x_{k}" for k in range(d)]:
+        raise ValueError(f"expected leading x_0..x_{{d-1}} columns, got header {header}")
+    return d
+
+
 def read_dataset_csv(fp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     header, lines = split_csv(fp.read())
-    d = sum(1 for name in header if name.startswith("x_"))
-    if d < 1 or header[:d + 1] != [f"x_{k}" for k in range(d)] + ["y"]:
+    d = input_width(header)
+    if header[d:d + 1] != ["y"]:
         raise ValueError(f"unexpected dataset CSV header: {header}")
     has_observed = "observed" in header
     table = parse_rows(lines, d + 1 + has_observed)
@@ -182,10 +190,7 @@ def read_dataset_csv(fp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def read_inputs_csv(fp) -> np.ndarray:
     """Read the ``x_*`` columns of a CSV (extra columns like y are ignored)."""
     header, lines = split_csv(fp.read())
-    d = sum(1 for name in header if name.startswith("x_"))
-    if d < 1 or header[:d] != [f"x_{k}" for k in range(d)]:
-        raise ValueError(f"expected leading x_0..x_{{d-1}} columns, got header {header}")
-    return parse_rows(lines, d)
+    return parse_rows(lines, input_width(header))
 
 
 def parse_domains(text: str) -> tuple[tuple[float, float], ...]:
@@ -217,10 +222,8 @@ def write_posterior_csv(fp, X: np.ndarray, mean: np.ndarray, post_std: np.ndarra
 
 def read_posterior_csv(fp) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     header, lines = split_csv(fp.read())
-    d = sum(1 for name in header if name.startswith("x_"))
-    expected = [f"x_{k}" for k in range(d)] + ["posterior_mean", "posterior_std",
-                                               "predictive_std"]
-    if header != expected:
+    d = input_width(header)
+    if header[d:] != ["posterior_mean", "posterior_std", "predictive_std"]:
         raise ValueError(f"unexpected posterior CSV header: {header}")
     table = parse_rows(lines, d + 3)
     return table[:, :d], table[:, d], table[:, d + 1], table[:, d + 2]

@@ -405,8 +405,8 @@ def normalize_csv(in_path, out_path):
         header = next(reader)
         rows = [row for row in reader if row]
     d = sum(1 for name in header if name.startswith("x_"))
-    if d < 1:
-        raise ValueError(f"no x_* columns in {in_path}")
+    if d < 1 or header[:d] != [f"x_{k}" for k in range(d)]:
+        raise ValueError(f"{in_path}: expected leading x_0..x_{{d-1}} columns, got {header}")
     cols = np.asarray([[float(v) for v in row[:d]] for row in rows], dtype=float)
     cols = cols.reshape(-1, d)
     for k in range(d):

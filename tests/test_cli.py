@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from ngpr import (GenSpec, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData, cli,
-                  gp, gp_log_marginal_likelihood, log_conditional_likelihood,
+                  gp, log_conditional_likelihood,
                   normalize_scale, sampler, serialize)
 from ngpr.statespace import StateSpaceLikelihood
 
@@ -253,11 +253,12 @@ def test_fit_baselines_match_the_dense_gp(workdir, monkeypatch, family):
         true_path = serialize.read_jumps_csv(fp, serialize.parse_domains(echoed["fit.domain"]))
     data = RegressionData(X[observed], y[observed], summary["noise_variance"])
     grid = np.geomspace(1e-3, 2.0, 60)
-    lmls = [gp_log_marginal_likelihood(data, replace(kspec, length_scale=float(l))) for l in grid]
+    lmls = [log_conditional_likelihood(data, None, replace(kspec, length_scale=float(l)))
+            for l in grid]
     best = int(np.argmax(lmls))
     held = ~observed
     gp_mean = gp.posterior(data, X[held], None, kspec).mean
-    dense = {"gp_log_marginal": gp_log_marginal_likelihood(data, kspec),
+    dense = {"gp_log_marginal": log_conditional_likelihood(data, None, kspec),
              "gp_log_marginal_opt": lmls[best],
              "true_path_log_cond_lik": log_conditional_likelihood(data, true_path, kspec),
              "rmse_gp": float(np.sqrt(np.mean((gp_mean - y[held]) ** 2)))}
@@ -309,14 +310,7 @@ def test_predict_at_training_inputs_matches_fit(workdir):
     assert rc == 0
     print(f"[INFO] predict over the training grid took {elapsed:.2f}s")
     assert elapsed < 60.0
-    with open(out_csv) as fp:
-        Xp, mean_p, post_p, pred_p = serialize.read_posterior_csv(fp)
-    with open(fit_dir / "posterior.csv") as fp:
-        Xf, mean_f, post_f, pred_f = serialize.read_posterior_csv(fp)
-    np.testing.assert_array_equal(Xp, Xf)
-    np.testing.assert_allclose(mean_p, mean_f, atol=1e-10)
-    np.testing.assert_allclose(post_p, post_f, atol=1e-10)
-    np.testing.assert_allclose(pred_p, pred_f, atol=1e-10)
+    assert out_csv.read_bytes() == (fit_dir / "posterior.csv").read_bytes()
 
 
 def test_matern_predict_at_dataset_inputs_reproduces_the_fit(workdir, monkeypatch):
@@ -334,25 +328,24 @@ def test_matern_predict_at_dataset_inputs_reproduces_the_fit(workdir, monkeypatc
                    "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
     assert rc == 0
     assert len(smoothed) == summary["n_samples"]
-    with open(out_csv) as fp:
-        predicted = serialize.read_posterior_csv(fp)
-    with open(fit_dir / "posterior.csv") as fp:
-        fitted = serialize.read_posterior_csv(fp)
-    np.testing.assert_array_equal(predicted[0], fitted[0])
-    for p, f in zip(predicted[1:], fitted[1:]):
-        np.testing.assert_allclose(p, f, rtol=1e-12, atol=0)
+    assert out_csv.read_bytes() == (fit_dir / "posterior.csv").read_bytes()
 
 
 def _predict_matches_fit(fit_dir, data_dir, out_csv):
     rc = cli.main(["predict", "--bundle", str(fit_dir),
                    "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
     assert rc == 0
-    with open(out_csv) as fp:
-        predicted = serialize.read_posterior_csv(fp)
-    with open(fit_dir / "posterior.csv") as fp:
-        fitted = serialize.read_posterior_csv(fp)
-    for p, f in zip(predicted, fitted):
-        np.testing.assert_allclose(p, f, rtol=0, atol=1e-10)
+    assert out_csv.read_bytes() == (fit_dir / "posterior.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_chains", [1, 2, 3])
+@pytest.mark.parametrize("family", ["se", "matern52"])
+def test_predict_at_dataset_inputs_writes_the_posterior_bytes(workdir, family, n_chains):
+    """Predict folds each chain's paths and pools the chains as fit does: the same bits."""
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir, extra=("--set", f"kernel.family={family}",
+                                             "--set", f"sampler.n_chains={n_chains}"))
+    _predict_matches_fit(fit_dir, data_dir, workdir / "pred.csv")
 
 
 def test_predict_ignores_paths_files_of_an_earlier_fit(workdir):
@@ -376,15 +369,55 @@ def test_predict_reads_the_chains_in_order(workdir, monkeypatch):
     assert read == [str(fit_dir / f"paths_chain{i}.csv") for i in range(11)]
 
 
-def test_predict_names_a_missing_paths_file(workdir, capsys):
+@pytest.mark.parametrize("damage", ["missing", "no samples"])
+def test_predict_names_a_missing_or_empty_paths_file(workdir, capsys, damage):
     data_dir = _gen(workdir)
     fit_dir = _fit(workdir, data_dir, extra=("--set", "sampler.n_chains=2"))
-    (fit_dir / "paths_chain1.csv").unlink()
+    if damage == "missing":
+        (fit_dir / "paths_chain1.csv").unlink()
+    else:
+        (fit_dir / "paths_chain1.csv").write_text("dim,position,magnitude,sweep\n")
     out_csv = workdir / "pred.csv"
     rc = cli.main(["predict", "--bundle", str(fit_dir),
                    "--inputs", str(data_dir / "dataset.csv"), "--out", str(out_csv)])
     assert rc == 2
     assert "paths_chain1.csv" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_predict_has_no_data_flag(workdir, capsys):
+    """The dataset is the bundle's ``io.dataset``, which ``--set`` overrides."""
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    out_csv = workdir / "pred.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--bundle", str(fit_dir), "--inputs", str(data_dir / "dataset.csv"),
+                  "--out", str(out_csv), "--data", str(data_dir / "dataset.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --data" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("body, what", [("", "rows"),
+                                        ("0.1,0.5,0\n0.2,0.7,0\n", "observed rows")])
+def test_fit_and_predict_reject_a_dataset_without_observed_rows(workdir, capsys, body, what):
+    data_dir = _gen(workdir)
+    fit_dir = _fit(workdir, data_dir)
+    empty = workdir / "empty.csv"
+    empty.write_text("x_0,y,observed\n" + body)
+    out = workdir / "fit_empty"
+    out.mkdir()
+    rc = cli.main(["fit", "-c", str(workdir / "config.txt"), "--data", str(empty),
+                   "--out", str(out), "--set", "noise.variance=0.01"])
+    assert rc == 2
+    assert f"dataset has no {what}: {empty}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(fit_dir), "--inputs",
+                   str(data_dir / "dataset.csv"), "--out", str(out_csv),
+                   "--set", f"io.dataset={empty}"])
+    assert rc == 2
+    assert f"dataset has no {what}: {empty}" in capsys.readouterr().err
     assert not out_csv.exists()
 
 
@@ -561,6 +594,22 @@ def test_normalize_matches_the_reference_bytes(workdir, capsys):
     assert "line 3:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["y,x_0", "x_1,y", "x_0,y,x_1", "y"])
+def test_normalize_requires_leading_input_columns(workdir, header, capsys):
+    """Only files that lead with x_0..x_{d-1} and name no other x_* column are rescaled."""
+    width = header.count(",") + 1
+    src = workdir / "raw.csv"
+    src.write_text(header + "\n" + "".join(
+        ",".join(f"{i * (j + 1)}.0" for j in range(width)) + "\n" for i in range(3)))
+    out = workdir / "scaled.csv"
+    assert cli.main(["normalize", "--data", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(src) in err and str(header.split(",")) in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="expected leading x_0"):
+        oracles.normalize_csv(src, out)
+
+
 def test_normalize_rejects_constant_column(workdir, capsys):
     src = workdir / "const.csv"
     src.write_text("x_0,y\n2.0,1.0\n2.0,2.0\n")
@@ -683,3 +732,23 @@ def test_sampler_config_keys_are_the_sampler_config_fields():
 
     keys = {key.partition(".")[2] for key in cli.DEFAULTS if key.startswith("sampler.")}
     assert keys - {"n_chains"} == {f.name for f in fields(SamplerConfig)}
+
+
+def test_defaults_equal_the_dataclass_defaults():
+    """A ``DEFAULTS`` key named after a field that has a default holds that default."""
+    from dataclasses import MISSING, fields
+
+    from ngpr import SamplerConfig
+
+    checked = set()
+    for prefix, cls in (("kernel", KernelSpec), ("sampler", SamplerConfig),
+                        ("levy", LevyMeasureSpec), ("gen", GenSpec)):
+        for f in fields(cls):
+            key = f"{prefix}.{f.name}"
+            if key in cli.DEFAULTS and f.default is not MISSING:
+                assert type(f.default)(cli.DEFAULTS[key]) == f.default, key
+                checked.add(key)
+    assert checked == {"kernel.family", "kernel.length_scale", "kernel.signal_variance",
+                       "kernel.jitter", "sampler.n_sweeps", "sampler.n_intervals",
+                       "sampler.burn_in_fraction", "sampler.seed", "levy.alpha", "levy.beta",
+                       "levy.n_terms", "gen.seed", "gen.grid"}

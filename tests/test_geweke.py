@@ -46,7 +46,7 @@ def _noisy_gram(path, kspec):
 
 
 def _path_statistics(path):
-    return [path.total(), path.value(0.5), path.n_jumps()]
+    return [path.total(), path.values(0.5), path.n_jumps()]
 
 
 def _successive_conditional(kspec, seed):

@@ -331,10 +331,10 @@ def test_jump_set_sorts_and_evaluates_like_brute_force_oracle():
 
 def test_evaluate_path_closed_right_convention():
     path = _path([0.3, 0.7], [1.0, 2.0])
-    assert path.value(0.5) == 1.0
-    assert path.value(0.7) == 3.0
-    assert path.value(0.9) == 3.0
-    assert path.value(0.3) == 1.0
+    assert path.values(0.5) == 1.0
+    assert path.values(0.7) == 3.0
+    assert path.values(0.9) == 3.0
+    assert path.values(0.3) == 1.0
 
 
 def test_evaluate_empty_path_is_zero():
@@ -345,9 +345,9 @@ def test_evaluate_empty_path_is_zero():
 def test_evaluate_path_rejects_points_outside_domain():
     path = _path([0.3], [1.0])
     with pytest.raises(ValueError):
-        path.value(1.5)
+        path.values(1.5)
     with pytest.raises(ValueError):
-        path.value(-0.1)
+        path.values(-0.1)
 
 
 def test_sampled_paths_are_nondecreasing_step_functions():
@@ -369,8 +369,8 @@ def test_multidimensional_path_per_dimension_jumps():
     spec = LevyMeasureSpec(GAMMA, C=3.0, beta=3.0, n_terms=200)
     path = simulate_path(spec, [(0.0, 1.0), (0.0, 2.0)], np.random.default_rng(4))
     assert path.ndim == 2
-    assert path.value(1.0, dim=0) == path.total(0)
-    assert path.value(2.0, dim=1) == path.total(1)
+    assert path.values(1.0, dim=0) == path.total(0)
+    assert path.values(2.0, dim=1) == path.total(1)
 
 
 # ---------------------------------------------------------------------------

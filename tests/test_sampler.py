@@ -33,8 +33,8 @@ def test_identity_init_construction():
     js = path.jump_sets[0]
     np.testing.assert_allclose(np.sort(js.magnitudes), [0.25] * 4)
     assert path.total() == 1.0
-    assert path.value(1.0) == 1.0
-    assert abs(path.value(0.9) - path.value(0.1) - 0.75) < 1e-12
+    assert path.values(1.0) == 1.0
+    assert abs(path.values(0.9) - path.values(0.1) - 0.75) < 1e-12
 
 
 def test_identity_init_uniform_error_bound():
@@ -47,8 +47,8 @@ def test_identity_init_uniform_error_bound():
 def test_identity_init_shifted_domain():
     path = init_identity([(2.0, 4.0)], 8)
     assert path.total() == 2.0
-    assert path.value(4.0) == 2.0
-    assert path.value(2.0) == 0.0
+    assert path.values(4.0) == 2.0
+    assert path.values(2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_flat_likelihood_chain_keeps_jump_sets_sorted_and_exact():
                        domains=domains, log_lik_fn=checked_flat)
     assert mix.acceptance_rate == 1.0
     assert len(seen) == 1 + cfg.n_sweeps * 2 * cfg.n_intervals
-    assert seen[-1] is mix.final_path
+    assert seen[-1] is mix.paths[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_rejected_proposals_leave_state_untouched():
     mix = run_mh_gibbs(data, data.X, KSPEC, LSPEC, cfg, np.random.default_rng(4),
                        domains=[(0.0, 1.0)], log_lik_fn=hostile)
     assert mix.acceptance_rate == 0.0
-    assert np.array_equal(mix.final_path.jump_sets[0].positions,
+    assert np.array_equal(mix.paths[-1].jump_sets[0].positions,
                           init.jump_sets[0].positions)
     assert all(step.log_cond_lik == 0.0 for step in mix.trace)
 
@@ -448,7 +448,7 @@ def test_pool_chains_combines_samples():
     assert pooled.sweeps == mix1.sweeps + mix2.sweeps
     assert pooled.log_cond_liks == mix1.log_cond_liks + mix2.log_cond_liks
     assert pooled.moments.count == len(pooled.paths) == len(mix1.paths) + len(mix2.paths)
-    assert pooled.final_path is mix2.paths[-1]
+    assert pooled.paths[-1] is mix2.paths[-1]
     mean, cov, _ = _recomputed_moments(data, pooled.paths)
     np.testing.assert_allclose(pooled.aggregate_mean, mean, atol=1e-12)
     np.testing.assert_allclose(pooled.aggregate_cov, cov, atol=1e-12)
