@@ -61,6 +61,21 @@ class UsageError(ValueError):
     """Configuration or I/O problem attributable to the invocation."""
 
 
+def _read(path: Path, parse, *args):
+    """``parse(fp, *args)`` of the open file ``path``; a missing file or parse error names it."""
+    if not path.is_file():
+        raise UsageError(f"{path}: no such file")
+    with open(path, newline="") as fp:
+        try:
+            return parse(fp, *args)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
+
+
+def _read_kv(path: Path) -> dict[str, str]:
+    return _read(path, lambda fp: serialize.parse_kv_text(fp.read()))
+
+
 def _update(cfg: dict[str, str], entries: dict[str, str], source: str) -> None:
     """``cfg.update(entries)`` for keys of ``DEFAULTS`` and ``io.dataset``, which fit records."""
     unknown = sorted(entries.keys() - DEFAULTS.keys() - {"io.dataset"})
@@ -82,13 +97,7 @@ def load_config(args) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            file_cfg = serialize.parse_kv_text(path.read_text())
-        except ValueError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
-        _update(cfg, file_cfg, str(path))
+        _update(cfg, _read_kv(path), str(path))
     _apply_set(cfg, args.set)
     return cfg
 
@@ -159,7 +168,7 @@ def _require_parent(path: Path) -> Path:
 
 def _write_posterior(path: Path, X, moments, noise_variance: float) -> None:
     """Mean, posterior std and predictive std (noise added) of a ``MixtureSummary`` per input."""
-    var = np.diag(moments.scatter) / moments.count
+    var = np.diag(moments.cov)
     with open(path, "w", newline="") as fp:
         serialize.write_posterior_csv(fp, X, moments.mean, np.sqrt(var),
                                       np.sqrt(var + noise_variance))
@@ -194,14 +203,11 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_dataset(path: Path):
-    if not path.is_file():
-        raise UsageError(f"dataset not found: {path}")
-    with open(path, newline="") as fp:
-        X, y, observed = serialize.read_dataset_csv(fp)
+    X, y, observed = _read(path, serialize.read_dataset_csv)
     if not observed.any():
         raise UsageError(f"dataset has no {'observed ' if observed.size else ''}rows: {path}")
     meta_path = path.with_suffix(".meta")
-    meta = serialize.parse_kv_text(meta_path.read_text()) if meta_path.is_file() else {}
+    meta = _read_kv(meta_path) if meta_path.is_file() else {}
     return X, y, observed, meta
 
 
@@ -246,11 +252,7 @@ def cmd_fit(args) -> int:
 
     true_path = None
     if args.true_path:
-        true_path_file = Path(args.true_path)
-        if not true_path_file.is_file():
-            raise UsageError(f"true-path file not found: {true_path_file}")
-        with open(true_path_file, newline="") as fp:
-            true_path = serialize.read_jumps_csv(fp, domains)
+        true_path = _read(Path(args.true_path), serialize.read_jumps_csv, domains)
 
     data = RegressionData(X[observed], y[observed], noise_variance)
     mix, chains = run_chains(data, X, kspec, lspec, scfg, n_chains=n_chains, domains=domains)
@@ -316,7 +318,7 @@ def cmd_predict(args) -> int:
     config_path = bundle / "config.txt"
     if not config_path.is_file():
         raise UsageError(f"not a fit bundle (missing config.txt): {bundle}")
-    cfg = serialize.parse_kv_text(config_path.read_text())
+    cfg = _read_kv(config_path)
     _apply_set(cfg, args.set)
     out_path = _require_parent(Path(args.out))
 
@@ -326,11 +328,7 @@ def cmd_predict(args) -> int:
     kspec = kernel_from_config(cfg)
     data = RegressionData(X[observed], y[observed], noise_variance)
 
-    inputs_path = Path(args.inputs)
-    if not inputs_path.is_file():
-        raise UsageError(f"inputs CSV not found: {inputs_path}")
-    with open(inputs_path, newline="") as fp:
-        X_new = serialize.read_inputs_csv(fp)
+    X_new = _read(Path(args.inputs), serialize.read_inputs_csv)
     if X_new.shape[1] != len(domains):
         raise UsageError(f"inputs have {X_new.shape[1]} dimensions, model has {len(domains)}")
     lo, hi = np.transpose(domains)
@@ -345,8 +343,7 @@ def cmd_predict(args) -> int:
     summaries = []
     for suffix in [""] if n_chains == 1 else [f"_chain{i}" for i in range(n_chains)]:
         paths_file = bundle / f"paths{suffix}.csv"
-        with open(paths_file, newline="") as fp:  # a missing file exits 2
-            stored = serialize.read_sampled_paths_csv(fp, domains)
+        stored = _read(paths_file, serialize.read_sampled_paths_csv, domains)
         summary, _ = fold_posteriors(lik, stored, X_new)
         if summary is None:
             raise UsageError(f"no stored subordinator samples in {paths_file}")

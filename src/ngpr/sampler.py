@@ -1,36 +1,35 @@
 """Metropolis-Hastings-within-Gibbs inference over subordinator paths.
 
-The chain has one schedule: it starts from ``init_identity`` and each sweep
-visits the dimensions in index order and, within a dimension, the intervals
-of an equal-width partition left to right.  There the jumps inside the
-interval are deleted and redrawn from the subordinator prior restricted to
-the interval, and the move is accepted with probability
-``min(1, exp(loglik_new - loglik_old))``.  Because proposals come from the
-prior conditional, the likelihood ratio alone is the correct MH weight.
-The likelihood is an object the sweep talks to: it is told the path at the
-start of each sweep, scores each candidate for its (dimension, interval)
-and is told whether the candidate was accepted.  ``chain_likelihood``
-picks it, for the chain and for the plain-GP baselines (``total(None)``):
-with a Matern-5/2 kernel on 1-D data it is ``statespace.StateSpaceLikelihood``,
-which costs each proposal only the points in and next to its interval;
-every other case (the squared-exponential kernel has no finite state form,
-and multi-dimensional inputs have no order) evaluates the dense
-``log_conditional_likelihood`` of the whole candidate.  Each post burn-in
-sweep keeps its path; ``fold_posteriors`` folds their conditional GP
-posteriors at the test points (state-space: Rauch-Tung-Striebel smoothing;
-dense: ``gp.posterior``) into the moments of an equally weighted Gaussian
-mixture, the regression output, per chain; ``pool_summaries`` pools the chains.
+One chain schedule: from ``init_identity``, each sweep visits the
+dimensions in index order and, within one, the intervals of an equal-width
+partition left to right, redrawing the jumps inside the interval from the
+subordinator prior restricted to it.  Because proposals come from the prior
+conditional, the move is accepted with the likelihood ratio alone,
+``min(1, exp(loglik_new - loglik_old))``.  The likelihood object is told the
+path at each sweep's start, scores each candidate for its (dimension,
+interval) and is told whether it was accepted.  ``chain_likelihood`` picks
+it, for the chain and the plain-GP baselines (``total(None)``): for a
+Matern-5/2 kernel on 1-D data ``statespace.StateSpaceLikelihood``, costing a
+proposal only the points in and next to its interval, and otherwise (the SE
+kernel has no finite state form, and multi-dimensional inputs no order) the
+dense ``log_conditional_likelihood`` of the whole candidate.
+``fold_posteriors`` folds the conditional GP posterior at the test points
+(state space: Rauch-Tung-Striebel smoothing; dense: ``gp.posterior``) of
+each post burn-in sweep's path into the mean and covariance of an equally
+weighted Gaussian mixture, the regression output; ``pool_summaries`` pools
+chains.  A mixture holds one m x m array, its covariance: each posterior is
+folded into it in place and dropped before the next is computed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import daxpy, dger
 
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
@@ -69,36 +68,36 @@ class TraceStep:
 class MixtureSummary:
     """An equally weighted Gaussian mixture of ``count`` components, by its moments.
 
-    ``scatter`` is ``count`` times the mixture covariance: the summed
-    component covariances plus the scatter of the component means about
-    ``mean``.  One component is ``MixtureSummary(1, post.mean, post.cov)``.
-    ``combine`` folds into its left operand's ``scatter`` in place, so a
-    summary passed on the left must own that array.
+    ``cov`` is the mean of the component covariances plus the covariance of
+    the component means.  One component is ``MixtureSummary(1, post.mean,
+    post.cov)``.  ``combine`` folds into its left operand's ``cov`` in place,
+    so a summary passed on the left must own that array (C-ordered).
     """
 
     count: int
     mean: np.ndarray
-    scatter: np.ndarray
+    cov: np.ndarray
 
 
 def combine(a: MixtureSummary | None, b: MixtureSummary) -> MixtureSummary:
     """Summary of the union of two mixtures, folded into ``a``; ``a=None`` is the empty mixture.
 
-    Pairwise update of Chan, Golub & LeVeque (1979): adding one component and
-    pooling two chains are the same step.  ``a.scatter`` gains ``b.scatter``
-    and a BLAS rank-1 update in place, with no m x m temporary, and the
-    result shares it; ``combine(None, b)`` returns ``b`` itself.  Callers
-    therefore pass an ``a`` they own.  ``b`` is not modified.
+    Pairwise update of Chan, Golub & LeVeque (1979) on the covariance itself,
+    ``cov = (na/n) a.cov + (nb/n) b.cov + (na nb/n^2) d d'`` with ``d = b.mean - a.mean``,
+    done in ``a.cov`` by a scaling, a BLAS daxpy and a rank-1 dger: no m x m temporary.
+    Adding one component and pooling two chains are the same step.  The result shares
+    ``a.cov`` and ``combine(None, b)`` is ``b``, so callers pass an ``a`` they own; ``b`` is kept.
     """
     if a is None:
         return b
     n = a.count + b.count
     delta = b.mean - a.mean
-    scatter = a.scatter
-    scatter += b.scatter
-    if delta.size:  # dger updates the column-major scatter.T: scatter += c delta delta'
-        scatter = dger(a.count * b.count / n, delta, delta, a=scatter.T, overwrite_a=True).T
-    return MixtureSummary(n, a.mean + delta * (b.count / n), scatter)
+    cov = a.cov
+    if delta.size:  # daxpy on the flat view, dger on the column-major cov.T
+        cov *= a.count / n
+        cov = daxpy(b.cov.reshape(-1), cov.reshape(-1), a=b.count / n).reshape(cov.shape)
+        cov = dger(a.count * b.count / n ** 2, delta, delta, a=cov.T, overwrite_a=True).T
+    return MixtureSummary(n, a.mean + delta * (b.count / n), cov)
 
 
 @dataclass(frozen=True)
@@ -121,13 +120,16 @@ class MixturePosterior:
     trace: tuple[TraceStep, ...]
     likelihood: str
 
+    def __post_init__(self):
+        self.moments.cov.flags.writeable = False  # aggregate_cov: pooling reads it
+
     @property
     def aggregate_mean(self) -> np.ndarray:
         return self.moments.mean
 
-    @cached_property
+    @property
     def aggregate_cov(self) -> np.ndarray:
-        return self.moments.scatter / self.moments.count
+        return self.moments.cov
 
     @property
     def avg_log_cond_lik(self) -> float:
@@ -217,7 +219,7 @@ def mixture_moments(samples: Sequence[ConditionalPosterior]) -> tuple[np.ndarray
         if s.mean.shape != (m,) or s.cov.shape != (m, m):
             raise ValueError("inconsistent sample dimensions")
     summary = pool_summaries([MixtureSummary(1, s.mean, s.cov) for s in samples])
-    return summary.mean.copy(), summary.scatter / summary.count
+    return summary.mean.copy(), summary.cov
 
 
 def predictive_moments(mix: MixturePosterior,
@@ -302,6 +304,7 @@ def fold_posteriors(lik, stored: Iterable[tuple[int, SubordinatorPath]], X_test:
             raise NumericalError(f"posterior at sweep {sweep}: {exc}") from exc
         summary = combine(summary, MixtureSummary(1, post.mean, post.cov))
         lls.append(post.log_cond_lik)
+        del post  # the next posterior's m x m arrays are built without this one's
     return summary, lls
 
 
@@ -399,7 +402,7 @@ def pool_summaries(summaries: Sequence[MixtureSummary]) -> MixtureSummary:
     if len(summaries) < 1:
         raise ValueError("need at least one chain")
     first, *rest = summaries
-    return reduce(combine, rest, replace(first, scatter=first.scatter.copy()))
+    return reduce(combine, rest, replace(first, cov=first.cov.copy()))
 
 
 def pool_chains(mixes: Sequence[MixturePosterior]) -> MixturePosterior:

@@ -233,6 +233,46 @@ def test_fit_rejects_short_dataset_row(workdir, tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, detail", [
+    ("dataset.csv", "x_0,z\n0.1,0.5\n", "unexpected dataset CSV header: ['x_0', 'z']"),
+    ("dataset.csv", "x_0,y,observed\n0.1,0.5,1\n0.2,x,1\n", "line 3: could not convert"),
+    ("dataset.meta", "gen.noise_std = 0.1\ngen.domain\n", "line 2: expected 'key = value'"),
+    ("true_path.csv", "dim,position,magnitude\n0,0.1,abc\n", "line 2: could not convert"),
+])
+def test_fit_parse_errors_name_the_file(workdir, capsys, name, text, detail):
+    data_dir = _gen(workdir)
+    (data_dir / name).write_text(text)
+    out = workdir / "fit_bad"
+    out.mkdir()
+    rc = cli.main(["fit", "-c", str(workdir / "config.txt"), "--data", str(data_dir / "dataset.csv"),
+                   "--out", str(out), "--true-path", str(data_dir / "true_path.csv")])
+    assert rc == 2
+    assert f"error: {data_dir / name}: {detail}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, text, detail", [
+    ("inputs.csv", "y,x_0\n0.1,0.2\n", "expected leading x_0..x_{d-1} columns"),
+    ("inputs.csv", "x_0\n0.1\n0.2x\n", "line 3: could not convert"),
+    ("fit/paths.csv", "dim,position,weight,sweep\n", "unexpected sampled-path CSV header"),
+    ("fit/config.txt", "kernel.family = se\nkernel.jitter\n", "line 2: expected 'key = value'"),
+    ("missing.csv", None, "no such file"),
+])
+def test_predict_parse_errors_name_the_file(workdir, capsys, name, text, detail):
+    data_dir = _gen(workdir)
+    _fit(workdir, data_dir)
+    (workdir / "inputs.csv").write_text("x_0\n0.1\n")
+    if text is not None:
+        (workdir / name).write_text(text)
+    inputs = workdir / ("missing.csv" if text is None else "inputs.csv")
+    out_csv = workdir / "pred.csv"
+    rc = cli.main(["predict", "--bundle", str(workdir / "fit"), "--inputs", str(inputs),
+                   "--out", str(out_csv)])
+    assert rc == 2
+    assert f"error: {workdir / name}: {detail}" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("family", ["se", "matern52"])
 def test_fit_baselines_match_the_dense_gp(workdir, monkeypatch, family):
     """SE baselines are the dense ones bit for bit; Matern-5/2 ones need no dense factorization."""

@@ -232,16 +232,32 @@ def test_combine_folds_into_its_left_operand():
     (ma, mb), (ca, cb) = _random_components(rng, 2, 4)
     a, b = MixtureSummary(1, ma, ca.copy()), MixtureSummary(1, mb, cb.copy())
     out = combine(a, b)
-    assert np.shares_memory(out.scatter, a.scatter)  # folded in place: the caller owned a
-    np.testing.assert_array_equal(b.scatter, cb)
+    assert np.shares_memory(out.cov, a.cov)  # folded in place: the caller owned a
+    np.testing.assert_array_equal(b.cov, cb)
     np.testing.assert_array_equal(b.mean, mb)
     mean, cov = oracles.brute_force_mixture([ma.tolist(), mb.tolist()], [ca.tolist(), cb.tolist()])
     np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out.scatter / out.count, cov, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
     assert combine(None, b) is b
     empty = combine(MixtureSummary(1, np.zeros(0), np.zeros((0, 0))),
                     MixtureSummary(1, np.zeros(0), np.zeros((0, 0))))
-    assert empty.count == 2 and empty.scatter.shape == (0, 0)
+    assert empty.count == 2 and empty.cov.shape == (0, 0)
+
+
+def test_combine_of_unequal_counts_matches_brute_force_oracle():
+    # a 3-component and a 2-component summary: the (na/n, nb/n, na nb/n^2) weights
+    means, covs = _random_components(np.random.default_rng(10), 5, 4)
+    owned = covs[0].copy()
+    left = combine(combine(MixtureSummary(1, means[0], owned), MixtureSummary(1, means[1], covs[1])),
+                   MixtureSummary(1, means[2], covs[2]))
+    right = combine(MixtureSummary(1, means[3], covs[3].copy()), MixtureSummary(1, means[4], covs[4]))
+    right_cov = right.cov.copy()
+    out = combine(left, right)
+    assert out.count == 5 and np.shares_memory(out.cov, owned)
+    assert right.cov.tobytes() == right_cov.tobytes()
+    mean, cov = oracles.brute_force_mixture([m.tolist() for m in means], [c.tolist() for c in covs])
+    np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
 
 
 def test_mixture_moments_leave_the_samples_alone():
@@ -452,17 +468,32 @@ def test_pool_chains_combines_samples():
     mean, cov, _ = _recomputed_moments(data, pooled.paths)
     np.testing.assert_allclose(pooled.aggregate_mean, mean, atol=1e-12)
     np.testing.assert_allclose(pooled.aggregate_cov, cov, atol=1e-12)
+    posts = [posterior(data, data.X, p, KSPEC) for p in pooled.paths]
+    mean_o, cov_o = oracles.brute_force_mixture([q.mean.tolist() for q in posts],
+                                                [q.cov.tolist() for q in posts])
+    np.testing.assert_allclose(pooled.moments.mean, mean_o, atol=1e-12)
+    np.testing.assert_allclose(pooled.moments.cov, cov_o, atol=1e-12)
 
 
 def test_pooling_leaves_the_chains_alone():
     mixes = [_run(seed=seed)[1] for seed in (31, 32, 33)]
-    before = [(m.moments.mean.copy(), m.moments.scatter.copy()) for m in mixes]
+    before = [(m.moments.mean.copy(), m.moments.cov.copy()) for m in mixes]
     for k in (1, 3):
         pooled = pool_chains(mixes[:k])
-        for mix, (mean, scatter) in zip(mixes, before):
+        for mix, (mean, cov) in zip(mixes, before):
             assert mix.moments.mean.tobytes() == mean.tobytes()
-            assert mix.moments.scatter.tobytes() == scatter.tobytes()
-        assert not np.shares_memory(pooled.moments.scatter, mixes[0].moments.scatter)
+            assert mix.moments.cov.tobytes() == cov.tobytes()
+        assert not np.shares_memory(pooled.moments.cov, mixes[0].moments.cov)
+
+
+def test_aggregate_cov_is_the_read_only_mixture_covariance():
+    mixes = [_run(seed=seed)[1] for seed in (35, 36)]
+    for mix in (*mixes, pool_chains(mixes)):
+        assert np.shares_memory(mix.aggregate_cov, mix.moments.cov)
+        with pytest.raises(ValueError):
+            mix.aggregate_cov[0, 0] = 1.0
+        with pytest.raises(ValueError):  # a chain cannot be the left operand of a fold
+            combine(mix.moments, mixes[0].moments)
 
 
 def test_run_chains_returns_the_chains_as_run_alone():
@@ -477,7 +508,11 @@ def test_run_chains_returns_the_chains_as_run_alone():
     for mix, ref in zip(mixes, alone):
         assert mix.moments.count == ref.moments.count
         assert mix.moments.mean.tobytes() == ref.moments.mean.tobytes()
-        assert mix.moments.scatter.tobytes() == ref.moments.scatter.tobytes()
+        assert mix.moments.cov.tobytes() == ref.moments.cov.tobytes()
+        posts = [posterior(data, data.X, p, KSPEC) for p in ref.paths]
+        _, cov_o = oracles.brute_force_mixture([q.mean.tolist() for q in posts],
+                                               [q.cov.tolist() for q in posts])
+        np.testing.assert_allclose(mix.moments.cov, cov_o, atol=1e-12)
     assert pooled.moments.count == sum(m.moments.count for m in mixes)
 
 
@@ -525,3 +560,43 @@ def test_failed_cholesky_carries_chain_and_sweep_context():
         run_mh_gibbs(apart, apart.X, *chain_args, np.random.default_rng(1), domains=[(0.0, 1.0)])
     with pytest.raises(NumericalError, match=r"posterior at sweep 7: Cholesky .* n=2 "):
         fold_posteriors(chain_likelihood(tied, kspec), [(7, None)], tied.X)
+
+
+# ---------------------------------------------------------------------------
+# memory: one m x m covariance per mixture
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of its traced allocations above those live at the call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+@pytest.mark.parametrize("family, k", [("se", 3), ("matern52", 2)])
+def test_fold_holds_one_mixture_covariance_beside_one_posterior(family, k):
+    # n << m, so the m x m arrays dominate: the running mixture covariance plus the
+    # posterior in flight (dense: K_test and the new cov; state space: the product-form
+    # cov of sorted test points).  Holding the previous posterior adds one more m x m.
+    from ngpr import SamplerConfig
+
+    m = 800
+    data = _toy_data(np.random.default_rng(3), n=12)
+    X_test = np.linspace(0.0, 1.0, m)
+    cfg = SamplerConfig(n_sweeps=4, n_intervals=4, burn_in_fraction=0.0, seed=1)
+    mix, peak = _traced_peak(run_mh_gibbs, data, X_test, KernelSpec(family, 0.2, 1.0), LSPEC,
+                             cfg, np.random.default_rng(2), [(0.0, 1.0)])
+    assert mix.moments.count == 4
+    assert mix.likelihood == ("dense" if family == "se" else "state_space")
+    assert peak < (k + 0.5) * m * m * 8
+    assert np.shares_memory(mix.aggregate_cov, mix.moments.cov)
+    (_, cov), peak = _traced_peak(predictive_moments, mix, 0.1)
+    assert not np.shares_memory(cov, mix.moments.cov)
+    assert m * m * 8 <= peak < 1.5 * m * m * 8  # exactly one m x m: the returned copy
