@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ngpr import (JumpSet, KernelSpec, LevyMeasureSpec, NumericalError, RegressionData,
-                  SubordinatorPath, kernel_value, log_conditional_likelihood, posterior,
-                  simulate_path, warp_inputs)
+                  SubordinatorPath, gp, kernel_value, kernels, log_conditional_likelihood,
+                  posterior, simulate_path, warp_inputs)
 from ngpr.sampler import init_identity
 
 import oracles
@@ -81,6 +81,39 @@ def test_posterior_matches_dense_inverse_oracle():
     np.testing.assert_allclose(post.mean, mean_o, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(post.cov, cov_o, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(post.log_cond_lik, ll_o, rtol=1e-8)
+
+
+def test_posterior_across_gram_blocks_matches_oracle_and_is_symmetric():
+    rng = np.random.default_rng(8)
+    for family in ("se", "matern52"):
+        data, X_test, path, kspec = _random_instance(rng, n=30, m=2 * kernels._BLOCK + 3,
+                                                     family=family)
+        post = posterior(data, X_test, path, kspec)
+        mean_o, cov_o, ll_o = _oracle(data, X_test, path, kspec)
+        np.testing.assert_allclose(post.mean, mean_o, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(post.cov, cov_o, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(post.log_cond_lik, ll_o, rtol=1e-8)
+        assert np.array_equal(post.cov, post.cov.T)
+
+
+def test_only_the_upper_triangle_of_each_gram_is_read(monkeypatch):
+    # NaN below every same-set Gram's diagonal must not reach dpotrf, dsyrk or mirror
+    rng = np.random.default_rng(10)
+    n = m = 2 * kernels._BLOCK + 3
+    data, X_test, path, kspec = _random_instance(rng, n=n, m=m)
+    clean = posterior(data, X_test, path, kspec)
+
+    def nan_below(points, spec):
+        gram = kernels.upper_gram(points, spec)
+        gram[np.tril_indices_from(gram, -1)] = np.nan
+        return gram
+
+    monkeypatch.setattr(gp, "upper_gram", nan_below)
+    post = posterior(data, X_test, path, kspec)
+    assert post.mean.tobytes() == clean.mean.tobytes()
+    assert post.cov.tobytes() == clean.cov.tobytes()
+    assert post.log_cond_lik == clean.log_cond_lik
+    assert log_conditional_likelihood(data, path, kspec) == clean.log_cond_lik
 
 
 def test_interpolation_limit():

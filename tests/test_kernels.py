@@ -124,37 +124,56 @@ def test_kernel_value_takes_scalars_and_leaves_its_input_alone():
             kernel_value(spec, np.array([0.1, -1e-300]))
 
 
+BLOCK = kernels._BLOCK
+
+
 @pytest.mark.parametrize("family", [SQUARED_EXPONENTIAL, MATERN52])
 def test_one_dimensional_gram_matches_the_cdist_reference_bitwise(family):
     rng = np.random.default_rng(6)
     spec = KernelSpec(family, length_scale=0.15, signal_variance=1.7, jitter=1e-6)
     # warped inputs on flat path segments repeat exactly
     path = SubordinatorPath([JumpSet([0.2, 0.45, 0.8], [0.3, 0.05, 0.6], (0.0, 1.0))])
-    a = warp_inputs(path, rng.uniform(0, 1, size=40))
     b = warp_inputs(path, rng.uniform(0, 1, size=25))
-    assert np.unique(a).size < a.shape[0]
-    self_ref = kernel_value(spec, cdist(a, a))
-    self_ref[np.diag_indices_from(self_ref)] += spec.jitter * spec.signal_variance
-    assert _bits(build_gram(a, None, spec)) == _bits(self_ref)
-    assert _bits(build_gram(a, a, spec)) == _bits(kernel_value(spec, cdist(a, a)))
-    assert _bits(build_gram(a, b, spec)) == _bits(kernel_value(spec, cdist(a, b)))
-    assert _bits(build_gram(b[:, 0], a[:, 0], spec)) == _bits(kernel_value(spec, cdist(b, a)))
     empty = np.empty((0, 1))
-    for x, y, shape in ((empty, None, (0, 0)), (empty, a, (0, 40)), (a, empty, (40, 0))):
-        assert build_gram(x, y, spec).shape == shape
+    for n in (40, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        a = warp_inputs(path, rng.uniform(0, 1, size=n))
+        assert np.unique(a).size < a.shape[0]
+        self_ref = kernel_value(spec, cdist(a, a))
+        upper = np.triu_indices(n)
+        assert _bits(kernels.upper_gram(a, spec)[upper]) == _bits(self_ref[upper])
+        self_ref[np.diag_indices_from(self_ref)] += spec.jitter * spec.signal_variance
+        assert _bits(build_gram(a, None, spec)) == _bits(self_ref)
+        assert _bits(build_gram(a, a, spec)) == _bits(kernel_value(spec, cdist(a, a)))
+        assert _bits(build_gram(a, b, spec)) == _bits(kernel_value(spec, cdist(a, b)))
+        assert _bits(build_gram(b[:, 0], a[:, 0], spec)) == _bits(kernel_value(spec, cdist(b, a)))
+        for x, y, shape in ((empty, None, (0, 0)), (empty, a, (0, n)), (a, empty, (n, 0))):
+            assert build_gram(x, y, spec).shape == shape
+    assert kernels.upper_gram(empty, spec).shape == (0, 0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_multidimensional_distances_match_cdist(d, monkeypatch):
     rng = np.random.default_rng(d)
-    a, b = rng.uniform(-1.0, 2.0, (40, d)), rng.uniform(-1.0, 2.0, (25, d))
+    n = 2 * BLOCK + 3
+    a, b = rng.uniform(-1.0, 2.0, (n, d)), rng.uniform(-1.0, 2.0, (25, d))
     a[7] = a[3]
+    a[n - 2] = a[5]  # a duplicate across blocks
     spec = KernelSpec(MATERN52, length_scale=0.3, jitter=1e-6)
     gram = build_gram(a, None, spec)
     assert _bits(gram) == _bits(gram.T)
     with pytest.raises(ValueError, match="dimension"):
         build_gram(a, b[:, 1:], spec)
-    # with the covariance step skipped, a cross Gram is its distance matrix
+    # with the covariance step skipped, a Gram is its distance matrix (plus the jitter)
     monkeypatch.setattr(kernels, "_covariance", lambda spec, r: r)
     for x, y in ((a, b), (a, a), (b, a)):
         np.testing.assert_allclose(build_gram(x, y, spec), cdist(x, y), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(build_gram(a, None, spec), cdist(a, a) + 1e-6 * np.eye(n),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_mirror_copies_the_upper_triangle_down(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    expected = np.triu(a) + np.triu(a, 1).T
+    assert kernels.mirror(a) is a
+    assert _bits(a) == _bits(expected)

@@ -580,11 +580,12 @@ def _traced_peak(fn, *args):
     return out, peak - start
 
 
-@pytest.mark.parametrize("family, k", [("se", 3), ("matern52", 2)])
-def test_fold_holds_one_mixture_covariance_beside_one_posterior(family, k):
+@pytest.mark.parametrize("family", ["se", "matern52"])
+def test_fold_holds_one_mixture_covariance_beside_one_posterior(family):
     # n << m, so the m x m arrays dominate: the running mixture covariance plus the
-    # posterior in flight (dense: K_test and the new cov; state space: the product-form
-    # cov of sorted test points).  Holding the previous posterior adds one more m x m.
+    # posterior in flight (dense: its cov, built and updated in place; state space: the
+    # product-form cov of sorted test points).  Holding the previous posterior adds one
+    # more m x m.
     from ngpr import SamplerConfig
 
     m = 800
@@ -595,8 +596,19 @@ def test_fold_holds_one_mixture_covariance_beside_one_posterior(family, k):
                              cfg, np.random.default_rng(2), [(0.0, 1.0)])
     assert mix.moments.count == 4
     assert mix.likelihood == ("dense" if family == "se" else "state_space")
-    assert peak < (k + 0.5) * m * m * 8
+    assert peak < 2.5 * m * m * 8
     assert np.shares_memory(mix.aggregate_cov, mix.moments.cov)
     (_, cov), peak = _traced_peak(predictive_moments, mix, 0.1)
     assert not np.shares_memory(cov, mix.moments.cov)
     assert m * m * 8 <= peak < 1.5 * m * m * 8  # exactly one m x m: the returned copy
+
+
+def test_dense_posterior_allocates_one_m_by_m():
+    # n << m: the test Gram is built in place of the covariance, whose update needs no
+    # second m x m array (a product V.T V or a symmetrized copy would be one).
+    m = 800
+    data = _toy_data(np.random.default_rng(4), n=12)
+    X_test = np.linspace(0.0, 1.0, m)
+    post, peak = _traced_peak(posterior, data, X_test, None, KernelSpec("se", 0.2, 1.0))
+    assert post.cov.shape == (m, m)
+    assert m * m * 8 <= peak < 1.5 * m * m * 8
