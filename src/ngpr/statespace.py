@@ -23,6 +23,10 @@ messages ``beta_i(s) = p(y_{i+1:} | s_i = s)``, computed once per sweep, and
 the filtered states of the prefix left of the current interval.  Scoring a
 proposal filters the interval's points and the first point after it, one
 point at a time, then closes with ``log int beta_b(s) N(s; m_b, P_b) ds``.
+A step is about 150 flops, fewer than a numpy call costs, so both run in
+plain float arithmetic: the predict is ``P <- Pinf + A (P - Pinf) A'`` on
+the 6 entries of the symmetric ``P``, and the close inverts ``I + Lam P`` by
+its adjugate.
 
 The whole-path passes are associative scans (Sarkka & Garcia-Fernandez 2021,
 *Temporal parallelization of Bayesian smoothers*; Corenflos, Zhao & Sarkka
@@ -66,7 +70,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gp import _NEG_VARIANCE_SLACK, ConditionalPosterior, RegressionData
-from .kernels import MATERN52, KernelSpec, as_point_matrix
+from .kernels import _BLOCK, MATERN52, KernelSpec, as_point_matrix
 from .levy import SubordinatorPath
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -219,6 +223,35 @@ def _product_form_cov(L: np.ndarray, p: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _reorder(a: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """``a[np.ix_(rank, rank)].T`` of a square ``a``, written over ``a``; returns ``a``.
+
+    Rows are gathered along the permutation's cycles with one row of
+    scratch, ``a`` is transposed by swapping ``_BLOCK``-sized blocks, and the
+    rows are gathered again, so no second m x m array is made.
+    """
+    m, rank = len(a), rank.tolist()
+    row = np.empty(m)
+
+    def gather_rows():  # a[j] <- a[rank[j]]
+        done = [False] * m
+        for i in range(m):
+            if not done[i]:
+                row[:], j = a[i], i
+                while rank[j] != i:
+                    a[j], done[j], j = a[rank[j]], True, rank[j]
+                a[j], done[j] = row, True
+
+    gather_rows()
+    for s in range(0, m, _BLOCK):
+        for t in range(s, m, _BLOCK):
+            block = a[s:s + _BLOCK, t:t + _BLOCK].copy()
+            a[s:s + _BLOCK, t:t + _BLOCK] = a[t:t + _BLOCK, s:s + _BLOCK].T
+            a[t:t + _BLOCK, s:s + _BLOCK] = block.T
+    gather_rows()
+    return a
+
+
 class StateSpaceLikelihood:
     """Matern-5/2 log-likelihood of 1-D data, scored interval by interval, and its posterior.
 
@@ -250,6 +283,8 @@ class StateSpaceLikelihood:
         self._lam = lam
         self._N = np.array([[lam, 1.0, 0.0], [0.0, lam, 1.0], [-lam ** 3, -3 * lam ** 2, -2 * lam]])
         self._N2 = self._N @ self._N
+        # (I, N, N^2) entry by entry, the coefficients of _filter's scalar A(d)
+        self._taylor = np.stack((_I3, self._N, self._N2), axis=-1).reshape(9, 3).tolist()
         s2 = kspec.signal_variance
         self._pinf = s2 * np.array([[1.0, 0.0, -lam ** 2 / 3], [0.0, lam ** 2 / 3, 0.0],
                                     [-lam ** 2 / 3, 0.0, lam ** 4]])
@@ -282,59 +317,103 @@ class StateSpaceLikelihood:
         whose warped value is ``w[0]``, or at the stationary prior when
         ``start`` is 0 (then ``w`` holds only the filtered points).  Returns
         the filtered means, covariances and cumulative log-likelihoods.
+
+        Scalar steps: a gap ``d > 0`` predicts ``m <- A m`` and
+        ``P <- Pinf + A (P - Pinf) A'``, which is ``A P A' + Q(d)``.
         """
-        if start == 0:
-            m, P, ll = np.zeros(3), self._pinf, 0.0
-            gaps = np.diff(w, prepend=w[:1])
-        else:
-            m, P, ll = self._state
-            gaps = np.diff(w)
-        k = gaps.size
-        ms, Ps, lls = np.empty((k, 3)), np.empty((k, 3, 3)), np.empty(k)
-        A, Q = self._transition(gaps)
-        y, r = self._y, self._r
-        for i in range(k):
-            if gaps[i] > 0.0:
-                m = A[i] @ m
-                P = A[i] @ P @ A[i].T + Q[i]
-            s = P[0, 0] + r
+        m, P, ll = (np.zeros(3), self._pinf, 0.0) if start == 0 else self._state
+        (m0, m1, m2), ll, w = m.tolist(), float(ll), w.tolist()
+        if start == 0:  # the first point's gap is 0
+            w.insert(0, w[0])
+        (p00, p01, p02), (_, p11, p12), (*_, p22) = P.tolist()
+        (q00, q01, q02), (_, q11, q12), (*_, q22) = self._pinf.tolist()
+        lam, r, taylor = self._lam, self._r, self._taylor
+        out = []
+        for i, yi in enumerate(self._y[start:start + len(w) - 1].tolist()):
+            d = w[i + 1] - w[i]
+            if d > 0.0:
+                e, h = math.exp(-lam * d), 0.5 * d * d
+                a00, a01, a02, a10, a11, a12, a20, a21, a22 = [
+                    e * (t + u * d + v * h) for t, u, v in taylor]
+                m0, m1, m2 = (a00 * m0 + a01 * m1 + a02 * m2, a10 * m0 + a11 * m1 + a12 * m2,
+                              a20 * m0 + a21 * m1 + a22 * m2)
+                d00, d01, d02 = p00 - q00, p01 - q01, p02 - q02
+                d11, d12, d22 = p11 - q11, p12 - q12, p22 - q22
+                # rows of A (P - Pinf)
+                b00, b01, b02 = (a00 * d00 + a01 * d01 + a02 * d02,
+                                 a00 * d01 + a01 * d11 + a02 * d12,
+                                 a00 * d02 + a01 * d12 + a02 * d22)
+                b10, b11, b12 = (a10 * d00 + a11 * d01 + a12 * d02,
+                                 a10 * d01 + a11 * d11 + a12 * d12,
+                                 a10 * d02 + a11 * d12 + a12 * d22)
+                b20, b21, b22 = (a20 * d00 + a21 * d01 + a22 * d02,
+                                 a20 * d01 + a21 * d11 + a22 * d12,
+                                 a20 * d02 + a21 * d12 + a22 * d22)
+                p00, p01, p02 = (q00 + b00 * a00 + b01 * a01 + b02 * a02,
+                                 q01 + b00 * a10 + b01 * a11 + b02 * a12,
+                                 q02 + b00 * a20 + b01 * a21 + b02 * a22)
+                p11, p12, p22 = (q11 + b10 * a10 + b11 * a11 + b12 * a12,
+                                 q12 + b10 * a20 + b11 * a21 + b12 * a22,
+                                 q22 + b20 * a20 + b21 * a21 + b22 * a22)
+            s = p00 + r
             if not s > 0.0:
+                P = np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
                 raise NumericalError(
                     f"non-positive innovation variance {s:.3e} at sorted point {start + i} of "
-                    f"n={self.n} (warped gap {gaps[i]:.3e}, predicted covariance "
+                    f"n={self.n} (warped gap {d:.3e}, predicted covariance "
                     f"{np.array2string(P, precision=3)}; {self._noise_context})")
-            v = y[start + i] - m[0]
-            gain = P[:, 0] / s
-            m = m + gain * v
-            P = P - gain[:, None] * P[0]
-            P = 0.5 * (P + P.T)
+            v = yi - m0
+            g0, g1, g2 = p00 / s, p01 / s, p02 / s
+            m0, m1, m2 = m0 + g0 * v, m1 + g1 * v, m2 + g2 * v
+            p00, p01, p02, p11, p12, p22 = (p00 - g0 * p00, p01 - g0 * p01, p02 - g0 * p02,
+                                            p11 - g1 * p01, p12 - g1 * p02, p22 - g2 * p02)
             ll -= 0.5 * (_LOG_2PI + math.log(s) + v * v / s)
-            ms[i], Ps[i], lls[i] = m, P, ll
+            out.append((m0, m1, m2, p00, p01, p02, p01, p11, p12, p02, p12, p22, ll))
         if not math.isfinite(ll):
             raise NumericalError(f"non-finite log conditional likelihood ({ll}) after sorted "
-                                 f"point {start + k - 1} of n={self.n}; {self._noise_context}")
-        return ms, Ps, lls
+                                 f"point {start + i} of n={self.n}; {self._noise_context}")
+        out = np.array(out)
+        return out[:, :3], out[:, 3:12].reshape(-1, 3, 3), out[:, 12]
 
     def _close(self, b: int, m: np.ndarray, P: np.ndarray) -> float:
         """``log int beta_b(s) N(s; m, P) ds``: the log-likelihood of the points right of ``b``.
 
         With ``beta_b(s) = exp(c - s'Lam s / 2 + eta's)`` and ``M = I + Lam P`` it is
-        ``c - m'(M^-1 Lam)m / 2 + (M^-1 eta)'m + (P eta)'(M^-1 eta) / 2 - log det(M) / 2``,
-        which never inverts ``P``.
+        ``c + m'M^-1 (eta - Lam m / 2) + (P eta)'M^-1 eta / 2 - log det(M) / 2``,
+        which never inverts ``P``.  In plain float arithmetic on the symmetric
+        ``Lam`` and ``P``, ``M^-1 = adj(M) / det(M)`` once ``det(M) > 0``.
         """
-        lam_info, eta = self._lam_info[b], self._eta[b]
-        M = _I3 + lam_info @ P
-        sol = np.linalg.solve(M, np.concatenate((lam_info, eta[:, None]), axis=1))
-        sol_lam, sol_eta = sol[:, :3], sol[:, 3]
-        sign, logdet = np.linalg.slogdet(M)
-        out = (self._c[b] - 0.5 * m @ sol_lam @ m + sol_eta @ m + 0.5 * (P @ eta) @ sol_eta
-               - 0.5 * logdet)
-        if not (sign > 0 and math.isfinite(out)):
+        (l00, l01, l02), (_, l11, l12), (*_, l22) = self._lam_info[b].tolist()
+        (p00, p01, p02), (_, p11, p12), (*_, p22) = P.tolist()
+        (e0, e1, e2), (m0, m1, m2) = self._eta[b].tolist(), m.tolist()
+        n00, n01, n02 = (1.0 + l00 * p00 + l01 * p01 + l02 * p02,
+                         l00 * p01 + l01 * p11 + l02 * p12, l00 * p02 + l01 * p12 + l02 * p22)
+        n10, n11, n12 = (l01 * p00 + l11 * p01 + l12 * p02,
+                         1.0 + l01 * p01 + l11 * p11 + l12 * p12, l01 * p02 + l11 * p12 + l12 * p22)
+        n20, n21, n22 = (l02 * p00 + l12 * p01 + l22 * p02, l02 * p01 + l12 * p11 + l22 * p12,
+                         1.0 + l02 * p02 + l12 * p12 + l22 * p22)
+        c00, c01, c02 = n11 * n22 - n12 * n21, n02 * n21 - n01 * n22, n01 * n12 - n02 * n11
+        c10, c11, c12 = n12 * n20 - n10 * n22, n00 * n22 - n02 * n20, n02 * n10 - n00 * n12
+        c20, c21, c22 = n10 * n21 - n11 * n20, n01 * n20 - n00 * n21, n00 * n11 - n01 * n10
+        det, out = n00 * c00 + n01 * c10 + n02 * c20, math.nan
+        if det > 0.0:
+            u0 = e0 - 0.5 * (l00 * m0 + l01 * m1 + l02 * m2)
+            u1 = e1 - 0.5 * (l01 * m0 + l11 * m1 + l12 * m2)
+            u2 = e2 - 0.5 * (l02 * m0 + l12 * m1 + l22 * m2)
+            t0, t1, t2 = (0.5 * (p00 * e0 + p01 * e1 + p02 * e2),
+                          0.5 * (p01 * e0 + p11 * e1 + p12 * e2),
+                          0.5 * (p02 * e0 + p12 * e1 + p22 * e2))
+            # m'adj(M) u + t'adj(M) eta, one row of adj(M) per line
+            num = (m0 * (c00 * u0 + c01 * u1 + c02 * u2) + t0 * (c00 * e0 + c01 * e1 + c02 * e2)
+                   + m1 * (c10 * u0 + c11 * u1 + c12 * u2) + t1 * (c10 * e0 + c11 * e1 + c12 * e2)
+                   + m2 * (c20 * u0 + c21 * u1 + c22 * u2) + t2 * (c20 * e0 + c21 * e1 + c22 * e2))
+            out = float(self._c[b]) + num / det - 0.5 * math.log(det)
+        if not math.isfinite(out):
             raise NumericalError(
-                f"backward message at sorted point {b} of n={self.n} gave log det sign {sign} "
-                f"and value {out} for filtered covariance {np.array2string(P, precision=3)}; "
-                f"{self._noise_context}")
-        return float(out)
+                f"backward message at sorted point {b} of n={self.n} gave det(I + Lam P) "
+                f"{det:.3e} and value {out} for filtered covariance "
+                f"{np.array2string(P, precision=3)}; {self._noise_context}")
+        return out
 
     def _elements(self, w: np.ndarray) -> tuple:
         """Filtering elements ``(A, b, C, eta, J, z)`` of every sorted point at warped values ``w``.
@@ -573,5 +652,5 @@ class StateSpaceLikelihood:
         if np.any(order[1:] < order[:-1]):
             rank = np.empty_like(order)
             rank[order] = np.arange(m)
-            mean, cov = mean[rank], cov[np.ix_(rank, rank)]
+            mean, cov = mean[rank], _reorder(cov, rank)
         return ConditionalPosterior(mean=mean, cov=cov, log_cond_lik=float(lls[-1]))

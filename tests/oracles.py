@@ -201,6 +201,49 @@ def backward_messages(A, Q, y, r):
     return lam_info, eta, c
 
 
+def kalman_filter(gaps, A, Q, y, r, m, P, ll=0.0):
+    """Covariance-form Kalman filter of a 3-state model, one point at a time with numpy.
+
+    Point ``i`` is reached over ``gaps[i]`` with transition ``A[i]`` and
+    process noise ``Q[i]`` (no predict step at a zero gap) and observes the
+    first state component as ``y[i]`` with noise variance ``r``.  The run
+    starts from the state ``(m, P)`` with log-likelihood ``ll``.  Returns the
+    filtered means, covariances and cumulative log-likelihoods.
+    """
+    k = len(gaps)
+    ms, Ps, lls = np.empty((k, 3)), np.empty((k, 3, 3)), np.empty(k)
+    m, P = np.asarray(m, dtype=float), np.asarray(P, dtype=float)
+    for i in range(k):
+        if gaps[i] > 0.0:
+            m = A[i] @ m
+            P = A[i] @ P @ A[i].T + Q[i]
+        s = P[0, 0] + r
+        assert s > 0
+        v = y[i] - m[0]
+        gain = P[:, 0] / s
+        m = m + gain * v
+        P = P - gain[:, None] * P[0]
+        P = 0.5 * (P + P.T)
+        ll -= 0.5 * (math.log(2 * math.pi) + math.log(s) + v * v / s)
+        ms[i], Ps[i], lls[i] = m, P, ll
+    return ms, Ps, lls
+
+
+def close_message(lam_info, eta, c, m, P):
+    """``log int exp(c - s'Lam s / 2 + eta's) N(s; m, P) ds`` by a LAPACK solve and log det.
+
+    With ``M = I + Lam P`` it is
+    ``c - m'(M^-1 Lam)m / 2 + (M^-1 eta)'m + (P eta)'(M^-1 eta) / 2 - log det(M) / 2``.
+    """
+    M = np.eye(3) + lam_info @ P
+    sol = np.linalg.solve(M, np.concatenate((lam_info, eta[:, None]), axis=1))
+    sol_lam, sol_eta = sol[:, :3], sol[:, 3]
+    sign, logdet = np.linalg.slogdet(M)
+    assert sign > 0
+    return float(c - 0.5 * m @ sol_lam @ m + sol_eta @ m + 0.5 * (P @ eta) @ sol_eta
+                 - 0.5 * logdet)
+
+
 def rts_smooth(means, covs, A, Q):
     """Rauch-Tung-Striebel smoothed means and covariances, one point at a time.
 

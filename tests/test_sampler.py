@@ -584,23 +584,42 @@ def _traced_peak(fn, *args):
 def test_fold_holds_one_mixture_covariance_beside_one_posterior(family):
     # n << m, so the m x m arrays dominate: the running mixture covariance plus the
     # posterior in flight (dense: its cov, built and updated in place; state space: the
-    # product-form cov of sorted test points).  Holding the previous posterior adds one
-    # more m x m.
+    # product-form cov of sorted test points, reordered in place for shuffled ones).
+    # Holding the previous posterior adds one more m x m.
     from ngpr import SamplerConfig
 
     m = 800
     data = _toy_data(np.random.default_rng(3), n=12)
-    X_test = np.linspace(0.0, 1.0, m)
+    grid = np.linspace(0.0, 1.0, m)
     cfg = SamplerConfig(n_sweeps=4, n_intervals=4, burn_in_fraction=0.0, seed=1)
-    mix, peak = _traced_peak(run_mh_gibbs, data, X_test, KernelSpec(family, 0.2, 1.0), LSPEC,
-                             cfg, np.random.default_rng(2), [(0.0, 1.0)])
-    assert mix.moments.count == 4
-    assert mix.likelihood == ("dense" if family == "se" else "state_space")
-    assert peak < 2.5 * m * m * 8
-    assert np.shares_memory(mix.aggregate_cov, mix.moments.cov)
+    for X_test in (grid, np.random.default_rng(4).permutation(grid)):
+        mix, peak = _traced_peak(run_mh_gibbs, data, X_test, KernelSpec(family, 0.2, 1.0),
+                                 LSPEC, cfg, np.random.default_rng(2), [(0.0, 1.0)])
+        assert mix.moments.count == 4
+        assert mix.likelihood == ("dense" if family == "se" else "state_space")
+        assert peak < 2.5 * m * m * 8
+        assert np.shares_memory(mix.aggregate_cov, mix.moments.cov)
     (_, cov), peak = _traced_peak(predictive_moments, mix, 0.1)
     assert not np.shares_memory(cov, mix.moments.cov)
     assert m * m * 8 <= peak < 1.5 * m * m * 8  # exactly one m x m: the returned copy
+
+
+def test_shuffled_state_space_posterior_reorders_in_place():
+    # the sorted-order covariance is permuted over itself: no second m x m array, and the
+    # result is the sorted one's np.ix_ reorder, transposed, bit for bit
+    from ngpr.statespace import StateSpaceLikelihood
+
+    m = 800
+    data = _toy_data(np.random.default_rng(3), n=12)
+    lik = StateSpaceLikelihood(data, KernelSpec("matern52", 0.2, 1.0))
+    path = simulate_path(LSPEC, [(0.0, 1.0)], np.random.default_rng(5))
+    grid = np.linspace(0.0, 1.0, m)
+    perm = np.random.default_rng(6).permutation(m)
+    ref = lik.posterior(path, grid)
+    post, peak = _traced_peak(lik.posterior, path, grid[perm])
+    assert peak < 1.5 * m * m * 8
+    np.testing.assert_array_equal(post.mean, ref.mean[perm])
+    np.testing.assert_array_equal(post.cov, ref.cov[np.ix_(perm, perm)].T)
 
 
 def test_dense_posterior_allocates_one_m_by_m():

@@ -328,6 +328,99 @@ def test_posterior_between_sweeps_leaves_the_scores_alone():
     assert runs[0] == runs[1]
 
 
+def _filter_errors(got, want, pinf):
+    """Errors of filtered ``(means, covariances, log-likelihoods)`` against the oracle's.
+
+    A mean entry is measured against the largest magnitude of the same state
+    component along the run, a covariance entry against the stationary
+    ``sqrt(Pinf_ii Pinf_jj)`` and a log-likelihood against itself.
+    """
+    (m, P, ll), (m_want, P_want, ll_want) = got, want
+    scale = np.abs(m_want).max(axis=0)
+    sd = np.sqrt(np.diag(pinf))
+    return (float(np.max(np.abs(m - m_want) / np.where(scale > 0.0, scale, 1.0))),
+            float(np.max(np.abs(P - P_want) / np.outer(sd, sd))),
+            float(np.max(np.abs(ll - ll_want) / np.abs(ll_want))))
+
+
+def test_scalar_filter_and_close_match_the_numpy_oracles():
+    """``_filter`` and ``_close`` against the per-point numpy loop and the LAPACK close.
+
+    Log-likelihoods, closes and covariances agree to 1e-12.  The means get
+    1e-11: on these cases the numpy loop's own means are up to 1.2e-12 off
+    an 80-bit run of the same recursion, as are the scalar filter's, so two
+    double-precision filters differ by a few times that.
+    """
+    rng = np.random.default_rng(2036)
+    names = ("means", "covariances", "log-likelihoods")
+    worst = dict.fromkeys((*names, "closes"), 0.0)
+    seen = {"zero gaps": 0, "n=1": 0, "n=2": 0, "run of 50+": 0}
+    for i, (ls, r) in enumerate((ls, r) for ls in (0.02, 0.1, 0.3, 1.0)
+                                for r in (1e-3, 1e-2, 0.1, 1.0) for _ in range(3)):
+        n = (1, 2, 120)[i % 3]
+        X = rng.uniform(0.0, 1.0, n)
+        X[:n // 10] = X[-1]  # duplicate inputs
+        data = RegressionData(X, rng.normal(size=n), r)
+        lik = StateSpaceLikelihood(data, KernelSpec("matern52", ls, float(rng.uniform(0.5, 2.0))))
+        path = init_identity([(0.0, 1.0)], N_INTERVALS) if i % 4 == 0 else \
+            simulate_path(LSPEC, [(0.0, 1.0)], rng)
+        w = path.values(lik._x)
+        gaps = np.diff(w, prepend=w[:1])
+        A, Q = lik._transition(gaps)
+        got = lik._filter(0, w)
+        runs = [(got, oracles.kalman_filter(gaps, A, Q, lik._y, lik._r, np.zeros(3), lik._pinf))]
+        if n > 50:  # a run of 50+ points from a carried state
+            k = int(rng.integers(1, n - 50))
+            lik._state = tuple(e[k - 1] for e in got)
+            runs.append((lik._filter(k, w[k - 1:]),
+                         oracles.kalman_filter(gaps[k:], A[k:], Q[k:], lik._y[k:], lik._r,
+                                               *(e[k - 1] for e in got))))
+            seen["run of 50+"] += 1
+        for run in runs:
+            for name, err in zip(names, _filter_errors(*run, lik._pinf)):
+                worst[name] = max(worst[name], err)
+        lik._backward(path)
+        ms, Ps, _ = got
+        for b in range(n):
+            want = oracles.close_message(lik._lam_info[b], lik._eta[b], lik._c[b], ms[b], Ps[b])
+            worst["closes"] = max(worst["closes"], abs(lik._close(b, ms[b], Ps[b]) - want)
+                                  / (abs(want) or 1.0))  # the last point's close is 0
+        seen["zero gaps"] += int(np.sum(gaps[1:] == 0.0))
+        seen["n=1"] += n == 1
+        seen["n=2"] += n == 2
+    assert all(err <= (1e-11 if name == "means" else 1e-12) for name, err in worst.items()), worst
+    assert min(seen.values()) > 0, seen
+
+
+def test_a_sweep_of_scores_makes_no_numpy_step_per_point(monkeypatch):
+    """After ``start_sweep``, scoring and deciding need no transition stack and no LAPACK call."""
+    rng = np.random.default_rng(2037)
+    data, kspec, _ = _instance(rng)
+    start = simulate_path(LSPEC, [(0.0, 1.0)], rng)
+    runs = []
+    for patched in (False, True):
+        lik, path, local = StateSpaceLikelihood(data, kspec), start, np.random.default_rng(3)
+        lik.start_sweep(path)
+        if patched:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("per-point numpy call in a sweep")
+
+            monkeypatch.setattr(StateSpaceLikelihood, "_transition", forbidden)
+            monkeypatch.setattr(np.linalg, "solve", forbidden)
+            monkeypatch.setattr(np.linalg, "slogdet", forbidden)
+        scores = []
+        for j in range(N_INTERVALS):
+            tau = (EDGES[j], EDGES[j + 1])
+            candidate = propose(path, tau, 0, LSPEC, local)
+            scores.append(lik.score(candidate, 0, tau))
+            accepted = bool(local.random() < 0.5)
+            lik.decide(accepted)
+            if accepted:
+                path = candidate
+        runs.append(scores)
+    assert runs[0] == runs[1]
+
+
 def test_intervals_must_be_scored_left_to_right():
     rng = np.random.default_rng(5)
     data = RegressionData(rng.uniform(0, 1, 20), rng.normal(size=20), 0.1)
@@ -500,6 +593,26 @@ def test_non_positive_determinant_in_a_scan_raises_with_context(monkeypatch, suf
                                              rf"det\(I \+ J C\) not positive or an overflow; "
                                              rf"noise_variance=0\.1"):
         lik.start_sweep(path) if suffix else lik.total(path)
+
+
+def test_non_positive_close_determinant_raises_with_context(monkeypatch):
+    real = StateSpaceLikelihood.start_sweep
+
+    def broken(self, path):
+        real(self, path)
+        # Lam = -1e6 e0 e0' gives det(I + Lam P) = 1 - 1e6 P[0, 0] < 0
+        self._lam_info[:] = 0.0
+        self._lam_info[:, 0, 0] = -1e6
+
+    monkeypatch.setattr(StateSpaceLikelihood, "start_sweep", broken)
+    rng = np.random.default_rng(6)
+    data = RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1)
+    with pytest.raises(NumericalError, match=r"(?s)sweep 0, dim 0, interval \[0, 0\.2\): "
+                                             r"backward message at sorted point \d+ of n=15 "
+                                             r"gave det\(I \+ Lam P\) -\d\.\d{3}e\+0\d and "
+                                             r"value nan for filtered covariance \[\[.*\]\]; "
+                                             r"noise_variance=0\.1, jitter="):
+        _fit(data, "matern52")
 
 
 def _corrupt_posterior(monkeypatch, corrupt):
