@@ -28,25 +28,19 @@ plain float arithmetic: the predict is ``P <- Pinf + A (P - Pinf) A'`` on
 the 6 entries of the symmetric ``P``, and the close inverts ``I + Lam P`` by
 its adjugate.
 
-The whole-path passes are associative scans (Sarkka & Garcia-Fernandez 2021,
-*Temporal parallelization of Bayesian smoothers*; Corenflos, Zhao & Sarkka
-2022, *Gaussian process regression in logarithmic time*).  Each sorted point
-has a filtering element ``(A, b, C, eta, J, z)``: the Gaussian
-``p(s_k | s_{k-1}, y_k) = N(A s_{k-1} + b, C)`` and, in information form,
-``p(y_k | s_{k-1}) = exp(z - s'J s / 2 + eta's)``.  ``_combine`` joins two
-consecutive runs of points into one such element, and ``_scan`` turns n
-elements into all their prefix (or suffix) reductions with O(log n) batched
-calls on 3 x 3 stacks, in place of a Python step per point.  The prefix
-scan gives every filtered state and the cumulative log-likelihood (``total``
-and the forward pass of ``posterior``); the suffix scan of points
-``1 .. n-1`` gives the backward messages ``(J, eta, z)`` of ``_backward``.
+Every whole-path pass is one of two recursions over all n points.  The
+forward filter ``_filter`` from the stationary prior gives ``total``.  The
+backward information recursion ``_messages`` (Sarkka 2013, *Bayesian
+Filtering and Smoothing*) absorbs each point's observation into
+``(Lam, eta, c)`` and integrates the transition out with ``I + Lam Q``, so
+neither ``P`` nor ``Q`` is ever inverted; it gives the messages of
+``start_sweep``.
 
 ``posterior`` gives a stored sweep's conditional posterior at the test
-points without a Gram matrix.  A prefix scan and a Rauch-Tung-Striebel
-backward pass (Sarkka 2013, *Bayesian Filtering and Smoothing*, ch. 8) give
-the smoothed training states and the gains ``G_k = P_k A' P_{k+1|k}^-1``;
-the backward pass is a suffix scan of the smoothing elements
-``s_k | s_{k+1} ~ N(G_k s_{k+1} + m_k - G_k A m_k, P_k - G_k P_{k+1|k} G_k')``.
+points without a Gram matrix.  Both recursions give the smoothed training
+states by the two-filter formula: the filtered ``N(m, P)`` times the
+backward message is ``N(M'^-1 (m + P eta), P M^-1)`` with ``M = I + Lam P``,
+batched over the points; the gains ``G_k = P_k A' P_{k+1|k}^-1`` link them.
 Each test point is predicted from its left training neighbour (the
 stationary prior before the first) and smoothed one step against its right
 one, in one batched pass.  On the chain of sorted test and training states
@@ -99,80 +93,23 @@ def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, np.einsum("ki,ki->k", M[:, 0], adj[:, :, 0])
 
 
-def _combine(first: tuple, second: tuple) -> tuple:
-    """Filtering element of two consecutive runs of points, ``first`` before ``second``.
+def _adjugate_of_update(lam: tuple, p: tuple) -> tuple[tuple, float]:
+    """Adjugate (9 floats, row by row) and determinant of ``M = I + Lam P``, in plain floats.
 
-    An element ``(A, b, C, eta, J, z)`` of the run ``i..j`` stands for
-    ``p(s_j | s_{i-1}, y_{i:j}) = N(A s_{i-1} + b, C)`` and
-    ``p(y_{i:j} | s_{i-1}) = exp(z - s'J s / 2 + eta's)``, batched over a
-    leading axis with ``b`` and ``eta`` as (k, 3, 1) columns (Sarkka &
-    Garcia-Fernandez 2021, lemma 8).  ``N = I + J2 C1`` is inverted by its
-    adjugate; its determinant is at least 1 when ``J2`` and ``C1`` are
-    positive semi-definite, and ``z`` gains the Gaussian integral that
-    ``StateSpaceLikelihood._close`` takes.  A non-positive ``det N`` makes
-    the result NaN, which the scan's caller reports.
+    The symmetric ``Lam`` and ``P`` come as upper entries ``(x00, x01, x02, x11, x12, x22)``.
     """
-    A1, b1, C1, eta1, J1, z1 = first
-    A2, b2, C2, eta2, J2, z2 = second
-    N = J2 @ C1
-    N += _I3
-    adj, det = _adjugate(N)
-    if not np.all(det > 0.0):
-        det = np.where(det > 0.0, det, np.nan)
-    N_inv = adj / det[:, None, None]
-    W = A2 @ N_inv.transpose(0, 2, 1)  # A2 (I + C1 J2)^-1
-    NJ = N_inv @ J2  # symmetric
-    t = N_inv @ eta2
-    v = t - NJ @ b1
-    Ceta = C1 @ eta2
-    A1T = A1.transpose(0, 2, 1)
-    return (W @ A1, W @ (b1 + Ceta) + b2, _sym(W @ C1 @ A2.transpose(0, 2, 1)) + C2,
-            A1T @ v + eta1, _sym(A1T @ NJ @ A1) + J1,
-            z1 + z2 + 0.5 * (np.sum(b1 * (t + v) + Ceta * t, axis=(1, 2)) - np.log(det)))
-
-
-def _chain(first: tuple, second: tuple) -> tuple:
-    """Smoothing element of ``first`` followed by ``second``.
-
-    An element ``(G, g, L)`` stands for ``s_k | s_j ~ N(G s_j + g, L)``, with
-    ``G = 0`` for an unconditional state.  Chaining ``s_k | s_j`` with
-    ``s_j | s_l`` gives ``s_k | s_l``.
-    """
-    G1, g1, L1 = first
-    G2, g2, L2 = second
-    return G1 @ G2, _mv(G1, g2) + g1, _sym(G1 @ L2 @ G1.transpose(0, 2, 1)) + L1
-
-
-def _fold(elems: tuple, op, left: slice, right: slice) -> None:
-    """``e[right] = op(e[left], e[right])`` for every array ``e`` of ``elems``, pairing in order."""
-    targets = tuple(e[right] for e in elems)
-    k = len(targets[0])
-    if k:
-        for target, result in zip(targets, op(tuple(e[left][:k] for e in elems), targets)):
-            target[...] = result
-
-
-def _scan(elems: tuple, op, reverse: bool = False) -> tuple:
-    """Replace batched elements ``e_0 .. e_{n-1}`` in place by their prefixes ``op(e_0, .., e_k)``.
-
-    ``op`` must be associative.  An up-sweep combines blocks of 2, 4, 8, ...
-    elements and a down-sweep fills in the prefixes between them (Brent &
-    Kung), so a pass of n elements makes at most 2 log2(n) batched ``op``
-    calls.  With ``reverse`` the elements become their suffixes
-    ``op(e_k, ..., e_{n-1})``, each operand still before the one after it.
-    Returns ``elems``.
-    """
-    if reverse:
-        _scan(tuple(e[::-1] for e in elems), lambda a, b: op(b, a))
-        return elems
-    n, s = len(elems[0]), 1
-    while 2 * s <= n:
-        _fold(elems, op, slice(s - 1, None, 2 * s), slice(2 * s - 1, None, 2 * s))
-        s *= 2
-    while s > 1:
-        s //= 2
-        _fold(elems, op, slice(2 * s - 1, None, 2 * s), slice(3 * s - 1, None, 2 * s))
-    return elems
+    l00, l01, l02, l11, l12, l22 = lam
+    p00, p01, p02, p11, p12, p22 = p
+    n00, n01, n02 = (1.0 + l00 * p00 + l01 * p01 + l02 * p02,
+                     l00 * p01 + l01 * p11 + l02 * p12, l00 * p02 + l01 * p12 + l02 * p22)
+    n10, n11, n12 = (l01 * p00 + l11 * p01 + l12 * p02,
+                     1.0 + l01 * p01 + l11 * p11 + l12 * p12, l01 * p02 + l11 * p12 + l12 * p22)
+    n20, n21, n22 = (l02 * p00 + l12 * p01 + l22 * p02, l02 * p01 + l12 * p11 + l22 * p12,
+                     1.0 + l02 * p02 + l12 * p12 + l22 * p22)
+    c00, c01, c02 = n11 * n22 - n12 * n21, n02 * n21 - n01 * n22, n01 * n12 - n02 * n11
+    c10, c11, c12 = n12 * n20 - n10 * n22, n00 * n22 - n02 * n20, n02 * n10 - n00 * n12
+    c20, c21, c22 = n10 * n21 - n11 * n20, n01 * n20 - n00 * n21, n00 * n11 - n01 * n10
+    return (c00, c01, c02, c10, c11, c12, c20, c21, c22), n00 * c00 + n01 * c10 + n02 * c20
 
 
 def _product_form_cov(L: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -262,8 +199,8 @@ class StateSpaceLikelihood:
     the candidate's log-likelihood and ``decide(accepted)`` advances the
     filtered prefix through the interval on whichever path the chain keeps.
     A score costs the interval's points plus one, filtered one at a time;
-    ``total`` and the backward messages cost O(n) work once per sweep, in
-    O(log n) batched scan steps.  ``posterior(path, X_test)`` may come at any
+    ``total`` is one forward pass and the backward messages one backward
+    pass over all n points.  ``posterior(path, X_test)`` may come at any
     point of that protocol: it runs passes of its own and changes no state.
     In ``total`` and ``posterior``, ``path=None`` is the identity warp, as in ``gp``.
     """
@@ -288,14 +225,11 @@ class StateSpaceLikelihood:
         s2 = kspec.signal_variance
         self._pinf = s2 * np.array([[1.0, 0.0, -lam ** 2 / 3], [0.0, lam ** 2 / 3, 0.0],
                                     [-lam ** 2 / 3, 0.0, lam ** 4]])
-        n = self._x.size
         self._valid = 0  # points whose filtered state belongs to the current path
         # filtered mean, covariance and cumulative log-likelihood of sorted point _valid - 1
         self._state = None
-        # backward messages: log beta_i(s) = c_i - s'Lam_i s / 2 + eta_i's
-        self._lam_info = np.zeros((n, 3, 3))
-        self._eta = np.zeros((n, 3))
-        self._c = np.zeros(n)
+        # backward messages of the chain's path, log beta_i(s) = c_i - s'Lam_i s / 2 + eta_i's
+        self._lam_info = self._eta = self._c = None
         self._path: SubordinatorPath | None = None
         self._pending = None
 
@@ -386,16 +320,9 @@ class StateSpaceLikelihood:
         (l00, l01, l02), (_, l11, l12), (*_, l22) = self._lam_info[b].tolist()
         (p00, p01, p02), (_, p11, p12), (*_, p22) = P.tolist()
         (e0, e1, e2), (m0, m1, m2) = self._eta[b].tolist(), m.tolist()
-        n00, n01, n02 = (1.0 + l00 * p00 + l01 * p01 + l02 * p02,
-                         l00 * p01 + l01 * p11 + l02 * p12, l00 * p02 + l01 * p12 + l02 * p22)
-        n10, n11, n12 = (l01 * p00 + l11 * p01 + l12 * p02,
-                         1.0 + l01 * p01 + l11 * p11 + l12 * p12, l01 * p02 + l11 * p12 + l12 * p22)
-        n20, n21, n22 = (l02 * p00 + l12 * p01 + l22 * p02, l02 * p01 + l12 * p11 + l22 * p12,
-                         1.0 + l02 * p02 + l12 * p12 + l22 * p22)
-        c00, c01, c02 = n11 * n22 - n12 * n21, n02 * n21 - n01 * n22, n01 * n12 - n02 * n11
-        c10, c11, c12 = n12 * n20 - n10 * n22, n00 * n22 - n02 * n20, n02 * n10 - n00 * n12
-        c20, c21, c22 = n10 * n21 - n11 * n20, n01 * n20 - n00 * n21, n00 * n11 - n01 * n10
-        det, out = n00 * c00 + n01 * c10 + n02 * c20, math.nan
+        (c00, c01, c02, c10, c11, c12, c20, c21, c22), det = _adjugate_of_update(
+            (l00, l01, l02, l11, l12, l22), (p00, p01, p02, p11, p12, p22))
+        out = math.nan
         if det > 0.0:
             u0 = e0 - 0.5 * (l00 * m0 + l01 * m1 + l02 * m2)
             u1 = e1 - 0.5 * (l01 * m0 + l11 * m1 + l12 * m2)
@@ -415,74 +342,81 @@ class StateSpaceLikelihood:
                 f"{np.array2string(P, precision=3)}; {self._noise_context}")
         return out
 
-    def _elements(self, w: np.ndarray) -> tuple:
-        """Filtering elements ``(A, b, C, eta, J, z)`` of every sorted point at warped values ``w``.
+    def _messages(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Backward messages ``log p(y_{i+1:} | s_i = s) = c_i - s'Lam_i s / 2 + eta_i's`` at ``w``.
 
-        Element ``k`` conditions on the state of point ``k - 1``: with the
-        transition ``A_k, Q_k`` of its gap, innovation variance
-        ``S = Q_k[0, 0] + r`` and gain ``K = Q_k e0 / S``, it is
-        ``((I - K e0') A_k, K y_k, Q_k - S K K', A_k'e0 y_k / S, A_k'e0 e0'A_k / S)``
-        with ``z = log N(y_k; 0, S)``.  Point 0's element comes from the
-        stationary prior (``A = 0``, ``Q = Pinf``); a zero gap gives ``A = I``
-        and ``C = 0``.  ``Q`` is never inverted.
+        Returns ``(Lam, eta, c)``; the last point's message is empty.  From
+        ``i = n - 2`` down to 0, in plain floats: absorb ``y_{i+1}`` (``Lam00 += 1/r``,
+        ``eta0 += y/r``), then over a gap ``d > 0`` with ``M = I + Lam Q(d)`` take
+        ``Lam <- A'M^-1 Lam A``, ``eta <- A'M^-1 eta`` and
+        ``c += (Q eta)'M^-1 eta / 2 - log det(M) / 2``.
         """
-        n, y = self.n, self._y
-        gaps = np.diff(w, prepend=w[:1])
+        n, r = self.n, self._r
+        gaps = np.diff(w)
         A, Q = self._transition(gaps)
-        A[0], Q[0] = 0.0, self._pinf
-        S = Q[:, 0, 0] + self._r
-        if not np.all(S > 0.0):
-            k = int(np.flatnonzero(~(S > 0.0))[0])
-            raise NumericalError(
-                f"non-positive innovation variance {S[k]:.3e} of the filtering element at "
-                f"sorted point {k} of n={n} (warped gap {gaps[k]:.3e}, process noise "
-                f"{np.array2string(Q[k], precision=3)}; {self._noise_context})")
-        K = Q[:, :, 0] / S[:, None]
-        HA = A[:, 0, :]
-        z = -0.5 * (_LOG_2PI + np.log(S) + y * y / S)
-        if not np.all(np.isfinite(z)):
-            k = int(np.flatnonzero(~np.isfinite(z))[0])
-            raise NumericalError(f"non-finite log conditional likelihood ({z[k]}) at sorted "
-                                 f"point {k} of n={n}; {self._noise_context}")
-        K, HA = K[:, :, None], HA[:, :, None]
-        return (A - K * HA.transpose(0, 2, 1), K * y[:, None, None],
-                Q - S[:, None, None] * K * K.transpose(0, 2, 1), HA * (y / S)[:, None, None],
-                HA * (HA / S[:, None, None]).transpose(0, 2, 1), z)
-
-    def _filtering_scan(self, w: np.ndarray, suffix: bool = False) -> tuple:
-        """Prefix scan of every point's filtering element, or suffix scan of points 1..n-1.
-
-        Prefix ``k`` holds the filtered mean ``b`` and covariance ``C`` of
-        point ``k`` and ``z = log p(y_{0:k})``; suffix ``i`` holds the
-        backward message ``p(y_{i+1:} | s_i)`` in ``(eta, J, z)``.
-        """
-        first = int(suffix)
-        out = _scan(tuple(e[first:] for e in self._elements(w)), _combine, suffix)
-        z = out[5]
-        if not np.all(np.isfinite(z)):
-            bad = np.flatnonzero(~np.isfinite(z))
-            k = first + int(bad[-1] if suffix else bad[0])
-            raise NumericalError(
-                f"non-finite log conditional likelihood ({z[k - first]}) in the "
-                f"{'suffix' if suffix else 'prefix'} scan at sorted point {k} of n={self.n} "
-                f"(warped gap {w[k] - w[max(k - 1, 0)]:.3e}): det(I + J C) not positive or "
-                f"an overflow; {self._noise_context}")
-        return out
+        A, Q, gaps = A.reshape(-1, 9).tolist(), Q.reshape(-1, 9).tolist(), gaps.tolist()
+        log_2pi_r, inv_r = _LOG_2PI + math.log(r) if r > 0.0 else math.nan, 1.0 / r
+        l00 = l01 = l02 = l11 = l12 = l22 = e0 = e1 = e2 = c = 0.0
+        out = [(0.0,) * 13]
+        for i, y in zip(range(n - 2, -1, -1), self._y[:0:-1].tolist()):
+            l00 += inv_r
+            e0 += y * inv_r
+            c -= 0.5 * (log_2pi_r + y * y * inv_r)
+            d, det = gaps[i], 1.0
+            if d > 0.0:
+                q00, q01, q02, _, q11, q12, _, _, q22 = Q[i]
+                (k00, k01, k02, k10, k11, k12, k20, k21, k22), det = _adjugate_of_update(
+                    (l00, l01, l02, l11, l12, l22), (q00, q01, q02, q11, q12, q22))
+                if det > 0.0:
+                    # f = M^-1 eta and the upper entries s of the symmetric M^-1 Lam
+                    inv = 1.0 / det
+                    f0 = (k00 * e0 + k01 * e1 + k02 * e2) * inv
+                    f1 = (k10 * e0 + k11 * e1 + k12 * e2) * inv
+                    f2 = (k20 * e0 + k21 * e1 + k22 * e2) * inv
+                    s00 = (k00 * l00 + k01 * l01 + k02 * l02) * inv
+                    s01 = (k00 * l01 + k01 * l11 + k02 * l12) * inv
+                    s02 = (k00 * l02 + k01 * l12 + k02 * l22) * inv
+                    s11 = (k10 * l01 + k11 * l11 + k12 * l12) * inv
+                    s12 = (k10 * l02 + k11 * l12 + k12 * l22) * inv
+                    s22 = (k20 * l02 + k21 * l12 + k22 * l22) * inv
+                    c += 0.5 * ((q00 * e0 + q01 * e1 + q02 * e2) * f0
+                                + (q01 * e0 + q11 * e1 + q12 * e2) * f1
+                                + (q02 * e0 + q12 * e1 + q22 * e2) * f2 - math.log(det))
+                    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A[i]
+                    # rows of (M^-1 Lam) A, then the upper entries of A' (M^-1 Lam) A
+                    b00, b01, b02 = (s00 * a00 + s01 * a10 + s02 * a20,
+                                     s00 * a01 + s01 * a11 + s02 * a21,
+                                     s00 * a02 + s01 * a12 + s02 * a22)
+                    b10, b11, b12 = (s01 * a00 + s11 * a10 + s12 * a20,
+                                     s01 * a01 + s11 * a11 + s12 * a21,
+                                     s01 * a02 + s11 * a12 + s12 * a22)
+                    b20, b21, b22 = (s02 * a00 + s12 * a10 + s22 * a20,
+                                     s02 * a01 + s12 * a11 + s22 * a21,
+                                     s02 * a02 + s12 * a12 + s22 * a22)
+                    l00, l01, l02 = (a00 * b00 + a10 * b10 + a20 * b20,
+                                     a00 * b01 + a10 * b11 + a20 * b21,
+                                     a00 * b02 + a10 * b12 + a20 * b22)
+                    l11, l12, l22 = (a01 * b01 + a11 * b11 + a21 * b21,
+                                     a01 * b02 + a11 * b12 + a21 * b22,
+                                     a02 * b02 + a12 * b12 + a22 * b22)
+                    e0, e1, e2 = (a00 * f0 + a10 * f1 + a20 * f2, a01 * f0 + a11 * f1 + a21 * f2,
+                                  a02 * f0 + a12 * f1 + a22 * f2)
+            if not (det > 0.0 and math.isfinite(c)):
+                raise NumericalError(
+                    f"backward message at sorted point {i} of n={n} (warped gap {d:.3e}) gave "
+                    f"det(I + Lam Q) {det:.3e} and log-likelihood constant {c}; "
+                    f"{self._noise_context}")
+            out.append((l00, l01, l02, l01, l11, l12, l02, l12, l22, e0, e1, e2, c))
+        out = np.array(out[::-1])
+        return out[:, :9].reshape(-1, 3, 3), out[:, 9:12], out[:, 12]
 
     def total(self, path: SubordinatorPath | None) -> float:
-        """Whole-path log-likelihood: the last reduction of the prefix scan."""
-        return float(self._filtering_scan(self._x if path is None else path.values(self._x))[5][-1])
+        """Whole-path log-likelihood: the last cumulative value of the forward filter."""
+        return float(self._filter(0, self._x if path is None else path.values(self._x))[2][-1])
 
     def _backward(self, path: SubordinatorPath) -> None:
-        """Backward information messages of ``path`` from one suffix scan.
-
-        ``log beta_i(s) = c_i - s'Lam_i s / 2 + eta_i's`` is the ``(J, eta, z)``
-        part of the reduction of the filtering elements of points
-        ``i + 1 .. n - 1``; the last point's message is empty.
-        """
-        _, _, _, eta, lam_info, c = self._filtering_scan(path.values(self._x), suffix=True)
-        self._lam_info[:-1], self._eta[:-1], self._c[:-1] = lam_info, eta[:, :, 0], c
-        self._lam_info[-1], self._eta[-1], self._c[-1] = 0.0, 0.0, 0.0
+        """Store the backward information messages of ``path`` for the sweep's closes."""
+        self._lam_info, self._eta, self._c = self._messages(path.values(self._x))
 
     def start_sweep(self, path: SubordinatorPath) -> None:
         """Take ``path`` as the chain's state and compute its backward messages."""
@@ -555,32 +489,33 @@ class StateSpaceLikelihood:
         return G
 
     def _smooth(self, w: np.ndarray, ms: np.ndarray, Ps: np.ndarray):
-        """RTS pass over the sorted training states filtered at warped values ``w``.
+        """Two-filter smoothing of the sorted training states filtered at warped values ``w``.
 
-        The pass is a suffix scan of the smoothing elements.  Returns the
+        The filtered ``N(m, P)`` times the backward message ``(Lam, eta)`` of
+        ``_messages`` is the smoothed state: with ``M = I + Lam P``, covariance
+        ``P M^-1`` and mean ``M'^-1 (m + P eta)``, by adjugates.  Returns the
         smoothed means and covariances and the gains ``G_k`` linking point
         ``k`` to ``k + 1``.
         """
         n = self.n
+        lam_info, eta, _ = self._messages(w)
+        adj, det = _adjugate(lam_info @ Ps + _I3)  # det >= 1: Lam and P are positive semi-definite
+        sP = _sym(Ps @ adj) / det[:, None, None]
+        sm = _mv(adj.transpose(0, 2, 1), ms + _mv(Ps, eta)) / det[:, None]
         gaps = np.diff(w)
         A, Q = self._transition(gaps)
         AP = A @ Ps[:-1]
-        Pp = AP @ A.transpose(0, 2, 1) + Q
-        G = self._gains(Pp, AP, gaps, lambda k: (
+        G = self._gains(AP @ A.transpose(0, 2, 1) + Q, AP, gaps, lambda k: (
             f"sorted point {k + 1} of n={n} (warped gap {gaps[k]:.3e})"))
-        # smoothing elements s_k | s_{k+1} ~ N(G_k s_{k+1} + g_k, L_k); the last is unconditional
-        g = np.concatenate((ms[:-1] - _mv(G, _mv(A, ms[:-1])), ms[-1:]))
-        L = np.concatenate((_sym(Ps[:-1] - G @ Pp @ G.transpose(0, 2, 1)), Ps[-1:]))
-        _, sm, sP = _scan((np.concatenate((G, np.zeros((1, 3, 3)))), g, L), _chain, reverse=True)
         return sm, sP, G
 
     def posterior(self, path: SubordinatorPath | None, X_test) -> ConditionalPosterior:
-        """GP posterior at ``X_test`` on the warp ``path``, by Rauch-Tung-Striebel smoothing.
+        """GP posterior at ``X_test`` on the warp ``path``, by two-filter smoothing.
 
         The model, moments and log conditional likelihood of
         ``gp.posterior``, from one forward and one backward pass over the
         training points, batched work per test point and O(m^2) for the
-        m x m covariance.  It runs its own forward pass, so the chain's
+        m x m covariance.  It runs both passes itself, so the chain's
         filtered prefix and backward messages are left as they were.
         """
         x_test = as_point_matrix(X_test)
@@ -588,8 +523,7 @@ class StateSpaceLikelihood:
             raise ValueError(f"1-D likelihood asked for {x_test.shape[1]}-D test points")
         n, m = self.n, x_test.shape[0]
         w = self._x if path is None else path.values(self._x)
-        _, ms, Ps, _, _, lls = self._filtering_scan(w)
-        ms = ms[:, :, 0]
+        ms, Ps, lls = self._filter(0, w)
         sm, sP, G = self._smooth(w, ms, Ps)
 
         # test states in sorted order: predicted from the left neighbour's filtered

@@ -1,8 +1,6 @@
 """State-space Matern-5/2 likelihood and posterior: oracles, local scores, dispatch, failures."""
 
-import math
 from dataclasses import replace
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -226,19 +224,37 @@ def test_posterior_makes_no_linalg_call(monkeypatch):
     want = lik.posterior(path, X_test)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("np.linalg called in posterior")
+        raise AssertionError("np.linalg called in a whole-path pass")
 
     for name in ("solve", "cholesky", "inv", "slogdet"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     got = lik.posterior(path, X_test)
     np.testing.assert_array_equal(got.cov, want.cov)
+    lik.total(path)
+    lik.start_sweep(path)
 
 
-def test_scanned_messages_and_smoothed_states_match_the_sequential_oracles():
-    """The suffix scans against the one-point-at-a-time backward and RTS recursions."""
+def _grid_cases(rng):
+    """Length scales 0.02-1 by noise variances 1e-3-1, three cases each: ``(lik, path)``.
+
+    The cases take n = 1, 2 and 120 in turn, a tenth of the inputs repeated.
+    """
+    for i, (ls, r) in enumerate((ls, r) for ls in (0.02, 0.1, 0.3, 1.0)
+                                for r in (1e-3, 1e-2, 0.1, 1.0) for _ in range(3)):
+        n = (1, 2, 120)[i % 3]
+        X = rng.uniform(0.0, 1.0, n)
+        X[:n // 10] = X[-1]  # duplicate inputs
+        data = RegressionData(X, rng.normal(size=n), r)
+        lik = StateSpaceLikelihood(data, KernelSpec("matern52", ls, float(rng.uniform(0.5, 2.0))))
+        path = init_identity([(0.0, 1.0)], N_INTERVALS) if i % 4 == 0 else \
+            simulate_path(LSPEC, [(0.0, 1.0)], rng)
+        yield lik, path
+
+
+def test_messages_and_two_filter_states_match_the_sequential_oracles():
+    """The scalar backward messages and two-filter smoothing against the numpy backward and RTS loops."""
     rng = np.random.default_rng(2032)
-    worst = {"messages": 0.0, "smoothed": 0.0}
-    seen = {"zero gaps": 0, "n=1": 0, "n=2": 0}
+    cases = []
     for i in range(18):
         data, kspec, _ = _instance(rng)
         if i % 6 in (1, 4):
@@ -246,7 +262,11 @@ def test_scanned_messages_and_smoothed_states_match_the_sequential_oracles():
             data = RegressionData(data.X[keep], data.y[keep], data.noise_variance)
         path = init_identity([(0.0, 1.0)], N_INTERVALS) if i % 4 == 0 else \
             simulate_path(LSPEC, [(0.0, 1.0)], rng)
-        lik = StateSpaceLikelihood(data, kspec)
+        cases.append((StateSpaceLikelihood(data, kspec), path))
+    cases += _grid_cases(rng)
+    worst = {"messages": 0.0, "smoothed": 0.0}
+    seen = {"zero gaps": 0, "n=1": 0, "n=2": 0, "n=100+": 0}
+    for lik, path in cases:
         w = path.values(lik._x)
         A, Q = lik._transition(np.diff(w))
         lik._backward(path)
@@ -258,50 +278,11 @@ def test_scanned_messages_and_smoothed_states_match_the_sequential_oracles():
         for got, want in zip((sm, sP), oracles.rts_smooth(ms, Ps, A, Q)):
             worst["smoothed"] = max(worst["smoothed"], _max_rel(got, want))
         seen["zero gaps"] += int(np.sum(np.diff(w) == 0.0))
-        seen["n=1"] += data.n == 1
-        seen["n=2"] += data.n == 2
+        seen["n=1"] += lik.n == 1
+        seen["n=2"] += lik.n == 2
+        seen["n=100+"] += lik.n >= 100
     assert max(worst.values()) <= 1e-10, worst
     assert min(seen.values()) > 0, seen
-
-
-@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 33])
-def test_scans_match_left_and_right_folds(n):
-    rng = np.random.default_rng(n)
-    data = RegressionData(rng.uniform(0.0, 1.0, n + 1), rng.normal(size=n + 1), 0.05)
-    lik = StateSpaceLikelihood(data, KernelSpec("matern52", 0.3, 1.0))
-    w = simulate_path(LSPEC, [(0.0, 1.0)], rng).values(lik._x)
-    elems = tuple(e[1:] for e in lik._elements(w))  # each conditions on the previous state
-    single = [tuple(e[k:k + 1] for e in elems) for k in range(n)]
-    prefix = statespace._scan(tuple(e.copy() for e in elems), statespace._combine)
-    suffix = statespace._scan(tuple(e.copy() for e in elems), statespace._combine, reverse=True)
-    worst = 0.0
-    for k in range(n):
-        left = reduce(statespace._combine, single[:k + 1])
-        right = reduce(lambda later, e: statespace._combine(e, later), single[k:][::-1])
-        for scanned, folded in ((prefix, left), (suffix, right)):
-            worst = max(worst, *(_max_rel(got[k], want[0]) for got, want in zip(scanned, folded)))
-    assert worst <= 1e-10, worst
-
-
-def test_backward_pass_takes_logarithmically_many_combines(monkeypatch):
-    calls = []
-    real = statespace._combine
-
-    def counted(first, second):
-        calls.append(len(first[0]))
-        return real(first, second)
-
-    monkeypatch.setattr(statespace, "_combine", counted)
-    counts = []
-    for n in (1000, 2000):
-        rng = np.random.default_rng(n)
-        lik = StateSpaceLikelihood(RegressionData(rng.uniform(0.0, 1.0, n), rng.normal(size=n),
-                                                  0.01), KernelSpec("matern52", 0.1, 1.0))
-        calls.clear()
-        lik._backward(simulate_path(LSPEC, [(0.0, 1.0)], rng))
-        counts.append(len(calls))
-    assert counts[0] <= 2 * math.ceil(math.log2(1000)), counts
-    assert counts[1] - counts[0] <= 2, counts
 
 
 def test_posterior_between_sweeps_leaves_the_scores_alone():
@@ -355,15 +336,8 @@ def test_scalar_filter_and_close_match_the_numpy_oracles():
     names = ("means", "covariances", "log-likelihoods")
     worst = dict.fromkeys((*names, "closes"), 0.0)
     seen = {"zero gaps": 0, "n=1": 0, "n=2": 0, "run of 50+": 0}
-    for i, (ls, r) in enumerate((ls, r) for ls in (0.02, 0.1, 0.3, 1.0)
-                                for r in (1e-3, 1e-2, 0.1, 1.0) for _ in range(3)):
-        n = (1, 2, 120)[i % 3]
-        X = rng.uniform(0.0, 1.0, n)
-        X[:n // 10] = X[-1]  # duplicate inputs
-        data = RegressionData(X, rng.normal(size=n), r)
-        lik = StateSpaceLikelihood(data, KernelSpec("matern52", ls, float(rng.uniform(0.5, 2.0))))
-        path = init_identity([(0.0, 1.0)], N_INTERVALS) if i % 4 == 0 else \
-            simulate_path(LSPEC, [(0.0, 1.0)], rng)
+    for lik, path in _grid_cases(rng):
+        n = lik.n
         w = path.values(lik._x)
         gaps = np.diff(w, prepend=w[:1])
         A, Q = lik._transition(gaps)
@@ -562,37 +536,48 @@ def test_non_positive_innovation_variance_raises_with_context(monkeypatch):
         _fit(data, "matern52")
 
 
-def test_non_positive_element_innovation_raises_with_context():
+def test_non_positive_innovation_in_total_raises_with_context():
     rng = np.random.default_rng(6)
     lik = StateSpaceLikelihood(RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1),
                                KernelSpec("matern52", 0.2))
     lik._r = -2.0  # below minus the signal variance
     with pytest.raises(NumericalError, match=r"(?s)non-positive innovation variance -1\.000e\+00 "
-                                             r"of the filtering element at sorted point 0 of n=15 "
-                                             r"\(warped gap 0\.000e\+00, process noise .*; "
+                                             r"at sorted point 0 of n=15 \(warped gap "
+                                             r"0\.000e\+00, predicted covariance .*; "
                                              r"noise_variance=0\.1"):
         lik.total(init_identity([(0.0, 1.0)], 4))
 
 
-@pytest.mark.parametrize("suffix", [False, True])
-def test_non_positive_determinant_in_a_scan_raises_with_context(monkeypatch, suffix):
-    real = StateSpaceLikelihood._elements
+def _negative_process_noise(monkeypatch, lik):
+    real = StateSpaceLikelihood._transition
 
-    def negative_information(self, w):
-        A, b, C, eta, J, z = real(self, w)
-        return A, b, C, eta, -1e6 * J, z  # det(I + J C) < 0 once J meets a covariance
+    def negated(self, gaps):  # Lam >= e0 e0' / r meets -Q: det(I + Lam Q) < 0 at the first gap
+        A, Q = real(self, gaps)
+        return A, -Q
 
-    monkeypatch.setattr(StateSpaceLikelihood, "_elements", negative_information)
+    monkeypatch.setattr(StateSpaceLikelihood, "_transition", negated)
+    return r"-\d\.\d{3}e\+0\d and log-likelihood constant .*"
+
+
+def _negative_noise_variance(monkeypatch, lik):
+    lik._r = -2.0  # no log-density: the constant is NaN at the first absorbed point
+    return r"1\.000e\+00 and log-likelihood constant nan"
+
+
+@pytest.mark.parametrize("corrupt, entry", [(_negative_process_noise, "start_sweep"),
+                                            (_negative_process_noise, "posterior"),
+                                            (_negative_noise_variance, "start_sweep")])
+def test_backward_recursion_failure_raises_with_context(monkeypatch, corrupt, entry):
     rng = np.random.default_rng(6)
     lik = StateSpaceLikelihood(RegressionData(rng.uniform(0, 1, 15), rng.normal(size=15), 0.1),
                                KernelSpec("matern52", 0.2))
     path = init_identity([(0.0, 1.0)], 4)
-    with pytest.raises(NumericalError, match=rf"non-finite log conditional likelihood \(nan\) in "
-                                             rf"the {'suffix' if suffix else 'prefix'} scan at "
-                                             rf"sorted point \d+ of n=15 \(warped gap .*\): "
-                                             rf"det\(I \+ J C\) not positive or an overflow; "
-                                             rf"noise_variance=0\.1"):
-        lik.start_sweep(path) if suffix else lik.total(path)
+    det_and_constant = corrupt(monkeypatch, lik)
+    with pytest.raises(NumericalError, match=rf"backward message at sorted point \d+ of n=15 "
+                                             rf"\(warped gap \d\.\d{{3}}e[+-]0\d\) gave "
+                                             rf"det\(I \+ Lam Q\) {det_and_constant}; "
+                                             rf"noise_variance=0\.1, jitter="):
+        lik.start_sweep(path) if entry == "start_sweep" else lik.posterior(path, [0.1, 0.6])
 
 
 def test_non_positive_close_determinant_raises_with_context(monkeypatch):
