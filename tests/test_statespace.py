@@ -285,6 +285,53 @@ def test_messages_and_two_filter_states_match_the_sequential_oracles():
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 33])
+def test_recursions_match_the_sequential_oracles_at_each_length(n):
+    """Forward filter, backward messages and two-filter states of n + 1 points, one length each."""
+    rng = np.random.default_rng(n)
+    data = RegressionData(rng.uniform(0.0, 1.0, n + 1), rng.normal(size=n + 1), 0.05)
+    lik = StateSpaceLikelihood(data, KernelSpec("matern52", 0.3, 1.0))
+    path = simulate_path(LSPEC, [(0.0, 1.0)], rng)
+    w = path.values(lik._x)
+    gaps = np.diff(w, prepend=w[:1])
+    A, Q = lik._transition(gaps)
+    got = lik._filter(0, w)
+    want = oracles.kalman_filter(gaps, A, Q, lik._y, lik._r, np.zeros(3), lik._pinf)
+    worst = max(_max_rel(g, wt) for g, wt in zip(got, want))
+    worst = max(worst, _rel(lik.total(path), want[2][-1]))
+    for g, wt in zip(lik._messages(w), oracles.backward_messages(A[1:], Q[1:], lik._y, lik._r)):
+        worst = max(worst, _max_rel(g, wt))
+    sm, sP, _ = lik._smooth(w, *got[:2])
+    for g, wt in zip((sm, sP), oracles.rts_smooth(*got[:2], A[1:], Q[1:])):
+        worst = max(worst, _max_rel(g, wt))
+    assert worst <= 1e-10, worst
+
+
+def test_backward_pass_builds_its_transitions_in_one_call(monkeypatch):
+    """The backward pass makes one batched numpy transition call and no LAPACK call, whatever n."""
+    calls = []
+    real = StateSpaceLikelihood._transition
+
+    def counted(self, gaps):
+        calls.append(gaps.size)
+        return real(self, gaps)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called in the backward pass")
+
+    monkeypatch.setattr(StateSpaceLikelihood, "_transition", counted)
+    for name in ("solve", "cholesky", "inv", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for n in (1000, 2000):
+        rng = np.random.default_rng(n)
+        lik = StateSpaceLikelihood(RegressionData(rng.uniform(0.0, 1.0, n), rng.normal(size=n),
+                                                  0.01), KernelSpec("matern52", 0.1, 1.0))
+        calls.clear()
+        lik._backward(simulate_path(LSPEC, [(0.0, 1.0)], rng))
+        assert calls == [n - 1], calls
+        assert lik._lam_info.shape == (n, 3, 3) and np.all(np.isfinite(lik._c))
+
+
 def test_posterior_between_sweeps_leaves_the_scores_alone():
     rng = np.random.default_rng(11)
     data, kspec, _ = _instance(rng)
