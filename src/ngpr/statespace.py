@@ -26,13 +26,16 @@ point at a time, then closes with ``log int beta_b(s) N(s; m_b, P_b) ds``.
 A step is about 150 flops, fewer than a numpy call costs, so both run in
 plain float arithmetic: the predict is ``P <- Pinf + A (P - Pinf) A'`` on
 the 6 entries of the symmetric ``P``, and the close inverts ``I + Lam P`` by
-its adjugate.
+its adjugate.  A filtered state ``(m, P, ll)`` or message ``(eta, Lam, c)``
+is one row, a tuple of 10 floats ``(v0, v1, v2, s00, s01, s02, s11, s12,
+s22, c)`` with ``s`` the upper entries of the symmetric matrix; only the
+posterior stacks rows into arrays, by ``_stack``.
 
 Every whole-path pass is one of two recursions over all n points.  The
 forward filter ``_filter`` from the stationary prior gives ``total``.  The
 backward information recursion ``_messages`` (Sarkka 2013, *Bayesian
 Filtering and Smoothing*) absorbs each point's observation into
-``(Lam, eta, c)`` and integrates the transition out with ``I + Lam Q``, so
+``(eta, Lam, c)`` and integrates the transition out with ``I + Lam Q``, so
 neither ``P`` nor ``Q`` is ever inverted; it gives the messages of
 ``start_sweep``.
 
@@ -69,6 +72,17 @@ from .levy import SubordinatorPath
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _I3 = np.eye(3)
+_SYM = [3, 4, 5, 4, 6, 7, 5, 7, 8]  # the row entries of the full symmetric matrix, row by row
+
+
+def _stack(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C-ordered vectors (k, 3), symmetric matrices (k, 3, 3) and scalars (k,) of k rows.
+
+    C order keeps the posterior's bits: ``np.array(rows)[:, _SYM]`` comes back
+    column-major, and ``_mv``'s einsum rounds differently on that layout.
+    """
+    a = np.array(rows)
+    return np.ascontiguousarray(a[:, :3]), a.take(_SYM, axis=1).reshape(-1, 3, 3), a[:, 9].copy()
 
 
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -81,23 +95,22 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.transpose(0, 2, 1))
 
 
-# row 3 r + s holds the flat indices (p, q, u, v) with adj(M)[r, s] = M_p M_q - M_u M_v
-_ADJUGATE = np.array([[4, 8, 5, 7], [2, 7, 1, 8], [1, 5, 2, 4], [5, 6, 3, 8], [0, 8, 2, 6],
-                      [2, 3, 0, 5], [3, 7, 4, 6], [1, 6, 0, 7], [0, 4, 1, 3]])
+def _adj3(n00, n01, n02, n10, n11, n12, n20, n21, n22) -> tuple[tuple, float]:
+    """Adjugate and determinant of a 3 x 3 matrix, row by row: floats, or arrays of them."""
+    c00, c01, c02 = n11 * n22 - n12 * n21, n02 * n21 - n01 * n22, n01 * n12 - n02 * n11
+    c10, c11, c12 = n12 * n20 - n10 * n22, n00 * n22 - n02 * n20, n02 * n10 - n00 * n12
+    c20, c21, c22 = n10 * n21 - n11 * n20, n01 * n20 - n00 * n21, n00 * n11 - n01 * n10
+    return (c00, c01, c02, c10, c11, c12, c20, c21, c22), n00 * c00 + n01 * c10 + n02 * c20
 
 
 def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjugates and determinants of stacked 3 x 3 matrices."""
-    g = M.reshape(-1, 9)[:, _ADJUGATE]
-    adj = (g[:, :, 0] * g[:, :, 1] - g[:, :, 2] * g[:, :, 3]).reshape(-1, 3, 3)
-    return adj, np.einsum("ki,ki->k", M[:, 0], adj[:, :, 0])
+    adj, det = _adj3(*M.reshape(-1, 9).T)
+    return np.stack(adj, axis=-1).reshape(-1, 3, 3), det
 
 
 def _adjugate_of_update(lam: tuple, p: tuple) -> tuple[tuple, float]:
-    """Adjugate (9 floats, row by row) and determinant of ``M = I + Lam P``, in plain floats.
-
-    The symmetric ``Lam`` and ``P`` come as upper entries ``(x00, x01, x02, x11, x12, x22)``.
-    """
+    """``_adj3`` of ``I + Lam P``, of symmetric ``Lam`` and ``P`` given as 6 upper entries each."""
     l00, l01, l02, l11, l12, l22 = lam
     p00, p01, p02, p11, p12, p22 = p
     n00, n01, n02 = (1.0 + l00 * p00 + l01 * p01 + l02 * p02,
@@ -106,10 +119,7 @@ def _adjugate_of_update(lam: tuple, p: tuple) -> tuple[tuple, float]:
                      1.0 + l01 * p01 + l11 * p11 + l12 * p12, l01 * p02 + l11 * p12 + l12 * p22)
     n20, n21, n22 = (l02 * p00 + l12 * p01 + l22 * p02, l02 * p01 + l12 * p11 + l22 * p12,
                      1.0 + l02 * p02 + l12 * p12 + l22 * p22)
-    c00, c01, c02 = n11 * n22 - n12 * n21, n02 * n21 - n01 * n22, n01 * n12 - n02 * n11
-    c10, c11, c12 = n12 * n20 - n10 * n22, n00 * n22 - n02 * n20, n02 * n10 - n00 * n12
-    c20, c21, c22 = n10 * n21 - n11 * n20, n01 * n20 - n00 * n21, n00 * n11 - n01 * n10
-    return (c00, c01, c02, c10, c11, c12, c20, c21, c22), n00 * c00 + n01 * c10 + n02 * c20
+    return _adj3(n00, n01, n02, n10, n11, n12, n20, n21, n22)
 
 
 def _product_form_cov(L: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -200,8 +210,9 @@ class StateSpaceLikelihood:
     filtered prefix through the interval on whichever path the chain keeps.
     A score costs the interval's points plus one, filtered one at a time;
     ``total`` is one forward pass and the backward messages one backward
-    pass over all n points.  ``posterior(path, X_test)`` may come at any
-    point of that protocol: it runs passes of its own and changes no state.
+    pass over all n points, kept as the rows ``_state`` and ``_msgs``.
+    ``posterior(path, X_test)`` may come at any point of that protocol: it
+    runs passes of its own and changes no state.
     In ``total`` and ``posterior``, ``path=None`` is the identity warp, as in ``gp``.
     """
 
@@ -216,20 +227,15 @@ class StateSpaceLikelihood:
         self._r = data.noise_variance + kspec.jitter * kspec.signal_variance
         self._noise_context = (f"noise_variance={data.noise_variance}, jitter={kspec.jitter}, "
                                f"length_scale={kspec.length_scale}")
-        lam = math.sqrt(5.0) / kspec.length_scale
-        self._lam = lam
-        self._N = np.array([[lam, 1.0, 0.0], [0.0, lam, 1.0], [-lam ** 3, -3 * lam ** 2, -2 * lam]])
-        self._N2 = self._N @ self._N
-        # (I, N, N^2) entry by entry, the coefficients of _filter's scalar A(d)
-        self._taylor = np.stack((_I3, self._N, self._N2), axis=-1).reshape(9, 3).tolist()
-        s2 = kspec.signal_variance
-        self._pinf = s2 * np.array([[1.0, 0.0, -lam ** 2 / 3], [0.0, lam ** 2 / 3, 0.0],
-                                    [-lam ** 2 / 3, 0.0, lam ** 4]])
+        self._lam = lam = math.sqrt(5.0) / kspec.length_scale
+        N = np.array([[lam, 1.0, 0.0], [0.0, lam, 1.0], [-lam ** 3, -3 * lam ** 2, -2 * lam]])
+        # (I, N, N^2) entry by entry: A(d) = exp(-lam d) (t + u d + v d^2 / 2) for each (t, u, v)
+        self._taylor = np.stack((_I3, N, N @ N), axis=-1).reshape(9, 3).tolist()
+        self._pinf = kspec.signal_variance * np.array(
+            [[1.0, 0.0, -lam ** 2 / 3], [0.0, lam ** 2 / 3, 0.0], [-lam ** 2 / 3, 0.0, lam ** 4]])
         self._valid = 0  # points whose filtered state belongs to the current path
-        # filtered mean, covariance and cumulative log-likelihood of sorted point _valid - 1
-        self._state = None
-        # backward messages of the chain's path, log beta_i(s) = c_i - s'Lam_i s / 2 + eta_i's
-        self._lam_info = self._eta = self._c = None
+        self._state = None  # row (m, P, ll) of sorted point _valid - 1
+        self._msgs = None  # rows (eta, Lam, c) of the chain path's backward messages
         self._path: SubordinatorPath | None = None
         self._pending = None
 
@@ -240,27 +246,27 @@ class StateSpaceLikelihood:
     def _transition(self, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Transition matrices ``A`` and process noises ``Q`` for every gap, shapes (k, 3, 3)."""
         d = gaps[:, None, None]
-        A = np.exp(-self._lam * d) * (_I3 + self._N * d + self._N2 * (0.5 * d * d))
+        t, u, v = np.array(self._taylor).T.reshape(3, 3, 3)
+        A = np.exp(-self._lam * d) * (t + u * d + v * (0.5 * d * d))
         Q = self._pinf - A @ self._pinf @ A.transpose(0, 2, 1)
         return A, _sym(Q)
 
-    def _filter(self, start: int, w: np.ndarray):
+    def _filter(self, start: int, w: np.ndarray) -> list:
         """Filter sorted points ``start, start+1, ...`` at warped values ``w``.
 
         The run begins at the carried filtered state of point ``start - 1``,
         whose warped value is ``w[0]``, or at the stationary prior when
         ``start`` is 0 (then ``w`` holds only the filtered points).  Returns
-        the filtered means, covariances and cumulative log-likelihoods.
+        one row ``(m, P, ll)`` per point: the filtered mean and covariance and
+        the cumulative log-likelihood.
 
         Scalar steps: a gap ``d > 0`` predicts ``m <- A m`` and
         ``P <- Pinf + A (P - Pinf) A'``, which is ``A P A' + Q(d)``.
         """
-        m, P, ll = (np.zeros(3), self._pinf, 0.0) if start == 0 else self._state
-        (m0, m1, m2), ll, w = m.tolist(), float(ll), w.tolist()
-        if start == 0:  # the first point's gap is 0
-            w.insert(0, w[0])
-        (p00, p01, p02), (_, p11, p12), (*_, p22) = P.tolist()
         (q00, q01, q02), (_, q11, q12), (*_, q22) = self._pinf.tolist()
+        m0, m1, m2, p00, p01, p02, p11, p12, p22, ll = self._state if start else (
+            0.0, 0.0, 0.0, q00, q01, q02, q11, q12, q22, 0.0)
+        w = w.tolist() if start else w[:1].tolist() + w.tolist()  # the first point's gap is 0
         lam, r, taylor = self._lam, self._r, self._taylor
         out = []
         for i, yi in enumerate(self._y[start:start + len(w) - 1].tolist()):
@@ -302,26 +308,24 @@ class StateSpaceLikelihood:
             p00, p01, p02, p11, p12, p22 = (p00 - g0 * p00, p01 - g0 * p01, p02 - g0 * p02,
                                             p11 - g1 * p01, p12 - g1 * p02, p22 - g2 * p02)
             ll -= 0.5 * (_LOG_2PI + math.log(s) + v * v / s)
-            out.append((m0, m1, m2, p00, p01, p02, p01, p11, p12, p02, p12, p22, ll))
+            out.append((m0, m1, m2, p00, p01, p02, p11, p12, p22, ll))
         if not math.isfinite(ll):
             raise NumericalError(f"non-finite log conditional likelihood ({ll}) after sorted "
                                  f"point {start + i} of n={self.n}; {self._noise_context}")
-        out = np.array(out)
-        return out[:, :3], out[:, 3:12].reshape(-1, 3, 3), out[:, 12]
+        return out
 
-    def _close(self, b: int, m: np.ndarray, P: np.ndarray) -> float:
+    def _close(self, b: int, row: tuple) -> float:
         """``log int beta_b(s) N(s; m, P) ds``: the log-likelihood of the points right of ``b``.
 
-        With ``beta_b(s) = exp(c - s'Lam s / 2 + eta's)`` and ``M = I + Lam P`` it is
+        ``(m, P)`` is the filtered state ``row`` of point ``b``.  With
+        ``beta_b(s) = exp(c - s'Lam s / 2 + eta's)`` and ``M = I + Lam P`` it is
         ``c + m'M^-1 (eta - Lam m / 2) + (P eta)'M^-1 eta / 2 - log det(M) / 2``,
         which never inverts ``P``.  In plain float arithmetic on the symmetric
         ``Lam`` and ``P``, ``M^-1 = adj(M) / det(M)`` once ``det(M) > 0``.
         """
-        (l00, l01, l02), (_, l11, l12), (*_, l22) = self._lam_info[b].tolist()
-        (p00, p01, p02), (_, p11, p12), (*_, p22) = P.tolist()
-        (e0, e1, e2), (m0, m1, m2) = self._eta[b].tolist(), m.tolist()
-        (c00, c01, c02, c10, c11, c12, c20, c21, c22), det = _adjugate_of_update(
-            (l00, l01, l02, l11, l12, l22), (p00, p01, p02, p11, p12, p22))
+        e0, e1, e2, l00, l01, l02, l11, l12, l22, c = msg = self._msgs[b]
+        m0, m1, m2, p00, p01, p02, p11, p12, p22, _ = row
+        (c00, c01, c02, c10, c11, c12, c20, c21, c22), det = _adjugate_of_update(msg[3:9], row[3:9])
         out = math.nan
         if det > 0.0:
             u0 = e0 - 0.5 * (l00 * m0 + l01 * m1 + l02 * m2)
@@ -334,18 +338,18 @@ class StateSpaceLikelihood:
             num = (m0 * (c00 * u0 + c01 * u1 + c02 * u2) + t0 * (c00 * e0 + c01 * e1 + c02 * e2)
                    + m1 * (c10 * u0 + c11 * u1 + c12 * u2) + t1 * (c10 * e0 + c11 * e1 + c12 * e2)
                    + m2 * (c20 * u0 + c21 * u1 + c22 * u2) + t2 * (c20 * e0 + c21 * e1 + c22 * e2))
-            out = float(self._c[b]) + num / det - 0.5 * math.log(det)
+            out = c + num / det - 0.5 * math.log(det)
         if not math.isfinite(out):
             raise NumericalError(
                 f"backward message at sorted point {b} of n={self.n} gave det(I + Lam P) "
                 f"{det:.3e} and value {out} for filtered covariance "
-                f"{np.array2string(P, precision=3)}; {self._noise_context}")
+                f"{np.array2string(_stack([row])[1][0], precision=3)}; {self._noise_context}")
         return out
 
-    def _messages(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _messages(self, w: np.ndarray) -> list:
         """Backward messages ``log p(y_{i+1:} | s_i = s) = c_i - s'Lam_i s / 2 + eta_i's`` at ``w``.
 
-        Returns ``(Lam, eta, c)``; the last point's message is empty.  From
+        Returns one row ``(eta, Lam, c)`` per point; the last point's message is empty.  From
         ``i = n - 2`` down to 0, in plain floats: absorb ``y_{i+1}`` (``Lam00 += 1/r``,
         ``eta0 += y/r``), then over a gap ``d > 0`` with ``M = I + Lam Q(d)`` take
         ``Lam <- A'M^-1 Lam A``, ``eta <- A'M^-1 eta`` and
@@ -357,7 +361,7 @@ class StateSpaceLikelihood:
         A, Q, gaps = A.reshape(-1, 9).tolist(), Q.reshape(-1, 9).tolist(), gaps.tolist()
         log_2pi_r, inv_r = _LOG_2PI + math.log(r) if r > 0.0 else math.nan, 1.0 / r
         l00 = l01 = l02 = l11 = l12 = l22 = e0 = e1 = e2 = c = 0.0
-        out = [(0.0,) * 13]
+        out = [(0.0,) * 10]
         for i, y in zip(range(n - 2, -1, -1), self._y[:0:-1].tolist()):
             l00 += inv_r
             e0 += y * inv_r
@@ -406,17 +410,16 @@ class StateSpaceLikelihood:
                     f"backward message at sorted point {i} of n={n} (warped gap {d:.3e}) gave "
                     f"det(I + Lam Q) {det:.3e} and log-likelihood constant {c}; "
                     f"{self._noise_context}")
-            out.append((l00, l01, l02, l01, l11, l12, l02, l12, l22, e0, e1, e2, c))
-        out = np.array(out[::-1])
-        return out[:, :9].reshape(-1, 3, 3), out[:, 9:12], out[:, 12]
+            out.append((e0, e1, e2, l00, l01, l02, l11, l12, l22, c))
+        return out[::-1]
 
     def total(self, path: SubordinatorPath | None) -> float:
         """Whole-path log-likelihood: the last cumulative value of the forward filter."""
-        return float(self._filter(0, self._x if path is None else path.values(self._x))[2][-1])
+        return self._filter(0, self._x if path is None else path.values(self._x))[-1][9]
 
     def _backward(self, path: SubordinatorPath) -> None:
         """Store the backward information messages of ``path`` for the sweep's closes."""
-        self._lam_info, self._eta, self._c = self._messages(path.values(self._x))
+        self._msgs = self._messages(path.values(self._x))
 
     def start_sweep(self, path: SubordinatorPath) -> None:
         """Take ``path`` as the chain's state and compute its backward messages."""
@@ -446,26 +449,22 @@ class StateSpaceLikelihood:
         """Log-likelihood of ``candidate``, which differs from the chain's path only in ``interval``."""
         a, b = self._span(dim, interval)
         stop = min(b + 1, self.n)
-        if a == stop:  # no point at or right of the interval
-            ll, states = float(self._state[2]), None
-        else:
-            states = self._filter(a, candidate.values(self._x[max(a - 1, 0):stop]))
-            ms, Ps, lls = states
-            ll = float(lls[-1]) if b == self.n else float(lls[-1]) + self._close(b, ms[-1], Ps[-1])
-        self._pending = (a, b, candidate, states)
+        rows = [self._state] if a == stop else (  # a == n: no point at or right of the interval
+            self._filter(a, candidate.values(self._x[max(a - 1, 0):stop])))
+        ll = rows[-1][9] if b == self.n else rows[-1][9] + self._close(b, rows[-1])
+        self._pending = (a, b, candidate, rows)
         return ll
 
     def decide(self, accepted: bool) -> None:
         """Advance the filtered prefix through the scored interval on the path the chain keeps."""
-        a, b, candidate, states = self._pending
+        a, b, candidate, rows = self._pending
         self._pending = None
         if accepted:
             self._path = candidate
         if b > a:
             if not accepted:
-                states = self._filter(a, self._path.values(self._x[max(a - 1, 0):b]))
-            ms, Ps, lls = states
-            self._state = ms[b - a - 1], Ps[b - a - 1], lls[b - a - 1]
+                rows = self._filter(a, self._path.values(self._x[max(a - 1, 0):b]))
+            self._state = rows[b - a - 1]
         self._valid = b
 
     def _gains(self, P_next: np.ndarray, AP: np.ndarray, gaps: np.ndarray, where) -> np.ndarray:
@@ -498,7 +497,7 @@ class StateSpaceLikelihood:
         ``k`` to ``k + 1``.
         """
         n = self.n
-        lam_info, eta, _ = self._messages(w)
+        eta, lam_info, _ = _stack(self._messages(w))
         adj, det = _adjugate(lam_info @ Ps + _I3)  # det >= 1: Lam and P are positive semi-definite
         sP = _sym(Ps @ adj) / det[:, None, None]
         sm = _mv(adj.transpose(0, 2, 1), ms + _mv(Ps, eta)) / det[:, None]
@@ -523,7 +522,7 @@ class StateSpaceLikelihood:
             raise ValueError(f"1-D likelihood asked for {x_test.shape[1]}-D test points")
         n, m = self.n, x_test.shape[0]
         w = self._x if path is None else path.values(self._x)
-        ms, Ps, lls = self._filter(0, w)
+        ms, Ps, lls = _stack(self._filter(0, w))
         sm, sP, G = self._smooth(w, ms, Ps)
 
         # test states in sorted order: predicted from the left neighbour's filtered
@@ -549,8 +548,7 @@ class StateSpaceLikelihood:
             f"(warped gap {d2[i]:.3e})"))
         tm[:n_inner] += _mv(Gt, sm[right] - _mv(A2, tm[:n_inner]))
         tP = fP.copy()
-        P = fP[:n_inner] + Gt @ (sP[right] - Pp2) @ Gt.transpose(0, 2, 1)
-        tP[:n_inner] = _sym(P)
+        tP[:n_inner] = _sym(fP[:n_inner] + Gt @ (sP[right] - Pp2) @ Gt.transpose(0, 2, 1))
         var = tP[:, 0, 0]
         if m and var.min() < _NEG_VARIANCE_SLACK:
             i = int(np.argmin(var))

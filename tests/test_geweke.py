@@ -124,9 +124,9 @@ def _messages_of_the_previous_sweep(monkeypatch):
 
     def lagging(self, path):
         real(self, path)
-        fresh = (self._lam_info.copy(), self._eta.copy(), self._c.copy())
+        fresh = self._msgs
         if previous:
-            self._lam_info[:], self._eta[:], self._c[:] = previous[0]
+            self._msgs = previous[0]
         previous[:] = [fresh]
 
     monkeypatch.setattr(StateSpaceLikelihood, "_backward", lagging)

@@ -50,15 +50,17 @@ def test_cli_import_leaves_out_scipy_spatial():
 
 def test_cli_import_loads_no_module_outside_ngpr():
     """Past numpy, scipy's linear algebra and special functions and a few stdlib modules,
-    ``import ngpr.cli`` loads only ``ngpr`` itself: a new dependency would slow every run."""
+    ``import ngpr.cli`` loads only ``ngpr`` itself: a new dependency would slow every run.
+    Nor does it load ``ngpr.statespace``, which only Matern fits need."""
     src = str(Path(ngpr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import sys, numpy, scipy.linalg, scipy.special, argparse, csv, json\n"
              "before = set(sys.modules)\n"
              "import ngpr.cli\n"
              "print(sorted(m for m in set(sys.modules) - before\n"
-             "             if m != 'ngpr' and not m.startswith('ngpr.')))")
+             "             if m != 'ngpr' and not m.startswith('ngpr.')))\n"
+             "print('ngpr.statespace' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == ["[]", "False"]

@@ -10,7 +10,7 @@ from ngpr import (KernelSpec, LevyMeasureSpec, NumericalError, RegressionData, S
                   init_identity, kernel_value, log_conditional_likelihood, partition_edges,
                   posterior, propose, run_mh_gibbs, simulate_path, warp_inputs)
 from ngpr import sampler, statespace
-from ngpr.statespace import StateSpaceLikelihood
+from ngpr.statespace import StateSpaceLikelihood, _stack
 
 import oracles
 
@@ -215,6 +215,33 @@ def test_gains_test_positive_definiteness_like_cholesky():
     assert accepted == {name: {name == "positive definite"} for name in stacks}, accepted
 
 
+def test_adjugates_match_numpy_on_random_and_near_singular_stacks():
+    """``_adj3`` against ``np.linalg.det``: ``adj(M) M = det(M) I`` and the determinants
+    agree to 1e-12 of ``max|M_ij|^3``, the size of the products summed, which stays
+    meaningful for a determinant near 0.  A float call gives each entry of the array
+    call bit for bit, and ``_adjugate`` is the array call stacked."""
+    rng = np.random.default_rng(2038)
+    M = rng.normal(size=(400, 3, 3)) * 10.0 ** rng.uniform(-3, 3, (400, 1, 1))
+    scale = np.abs(M).max(axis=(1, 2))
+    # near-singular half: the last row a combination of the first two, perturbed by 1e-9
+    near = M[200:]
+    near[:, 2] = (rng.normal(size=(200, 1)) * near[:, 0] + rng.normal(size=(200, 1)) * near[:, 1]
+                  + 1e-9 * scale[200:, None] * rng.normal(size=(200, 3)))
+    scale = np.abs(M).max(axis=(1, 2)) ** 3
+    entries, det = statespace._adj3(*M.reshape(-1, 9).T)
+    adj = np.stack(entries, axis=-1).reshape(-1, 3, 3)
+    err_adj = np.abs(adj @ M - det[:, None, None] * np.eye(3)).max(axis=(1, 2)) / scale
+    err_det = np.abs(det - np.linalg.det(M)) / scale
+    assert err_adj.max() <= 1e-12 and err_det.max() <= 1e-12, (err_adj.max(), err_det.max())
+    assert np.all(np.abs(det[200:]) / scale[200:] < 1e-7)  # the near-singular half is so
+    for k in range(len(M)):
+        one, d = statespace._adj3(*M[k].ravel().tolist())
+        np.testing.assert_array_equal(np.array([*one, d]).view(np.uint64),
+                                      np.append(adj[k].ravel(), det[k]).view(np.uint64))
+    got_adj, got_det = statespace._adjugate(M)
+    assert np.array_equal(got_adj, adj) and np.array_equal(got_det, det)
+
+
 def test_posterior_makes_no_linalg_call(monkeypatch):
     rng = np.random.default_rng(2035)
     data, kspec, _ = _instance(rng)
@@ -270,10 +297,10 @@ def test_messages_and_two_filter_states_match_the_sequential_oracles():
         w = path.values(lik._x)
         A, Q = lik._transition(np.diff(w))
         lik._backward(path)
-        for got, want in zip((lik._lam_info, lik._eta, lik._c),
-                             oracles.backward_messages(A, Q, lik._y, lik._r)):
+        eta, lam_info, c = _stack(lik._msgs)
+        for got, want in zip((lam_info, eta, c), oracles.backward_messages(A, Q, lik._y, lik._r)):
             worst["messages"] = max(worst["messages"], _max_rel(got, want))
-        ms, Ps, _ = lik._filter(0, w)
+        ms, Ps, _ = _stack(lik._filter(0, w))
         sm, sP, _ = lik._smooth(w, ms, Ps)
         for got, want in zip((sm, sP), oracles.rts_smooth(ms, Ps, A, Q)):
             worst["smoothed"] = max(worst["smoothed"], _max_rel(got, want))
@@ -295,11 +322,13 @@ def test_recursions_match_the_sequential_oracles_at_each_length(n):
     w = path.values(lik._x)
     gaps = np.diff(w, prepend=w[:1])
     A, Q = lik._transition(gaps)
-    got = lik._filter(0, w)
+    got = _stack(lik._filter(0, w))
     want = oracles.kalman_filter(gaps, A, Q, lik._y, lik._r, np.zeros(3), lik._pinf)
     worst = max(_max_rel(g, wt) for g, wt in zip(got, want))
     worst = max(worst, _rel(lik.total(path), want[2][-1]))
-    for g, wt in zip(lik._messages(w), oracles.backward_messages(A[1:], Q[1:], lik._y, lik._r)):
+    eta, lam_info, c = _stack(lik._messages(w))
+    for g, wt in zip((lam_info, eta, c),
+                     oracles.backward_messages(A[1:], Q[1:], lik._y, lik._r)):
         worst = max(worst, _max_rel(g, wt))
     sm, sP, _ = lik._smooth(w, *got[:2])
     for g, wt in zip((sm, sP), oracles.rts_smooth(*got[:2], A[1:], Q[1:])):
@@ -329,7 +358,7 @@ def test_backward_pass_builds_its_transitions_in_one_call(monkeypatch):
         calls.clear()
         lik._backward(simulate_path(LSPEC, [(0.0, 1.0)], rng))
         assert calls == [n - 1], calls
-        assert lik._lam_info.shape == (n, 3, 3) and np.all(np.isfinite(lik._c))
+        assert len(lik._msgs) == n and np.all(np.isfinite(_stack(lik._msgs)[2]))
 
 
 def test_posterior_between_sweeps_leaves_the_scores_alone():
@@ -388,12 +417,13 @@ def test_scalar_filter_and_close_match_the_numpy_oracles():
         w = path.values(lik._x)
         gaps = np.diff(w, prepend=w[:1])
         A, Q = lik._transition(gaps)
-        got = lik._filter(0, w)
+        rows = lik._filter(0, w)
+        got = _stack(rows)
         runs = [(got, oracles.kalman_filter(gaps, A, Q, lik._y, lik._r, np.zeros(3), lik._pinf))]
         if n > 50:  # a run of 50+ points from a carried state
             k = int(rng.integers(1, n - 50))
-            lik._state = tuple(e[k - 1] for e in got)
-            runs.append((lik._filter(k, w[k - 1:]),
+            lik._state = rows[k - 1]
+            runs.append((_stack(lik._filter(k, w[k - 1:])),
                          oracles.kalman_filter(gaps[k:], A[k:], Q[k:], lik._y[k:], lik._r,
                                                *(e[k - 1] for e in got))))
             seen["run of 50+"] += 1
@@ -401,10 +431,11 @@ def test_scalar_filter_and_close_match_the_numpy_oracles():
             for name, err in zip(names, _filter_errors(*run, lik._pinf)):
                 worst[name] = max(worst[name], err)
         lik._backward(path)
+        eta, lam_info, c = _stack(lik._msgs)
         ms, Ps, _ = got
         for b in range(n):
-            want = oracles.close_message(lik._lam_info[b], lik._eta[b], lik._c[b], ms[b], Ps[b])
-            worst["closes"] = max(worst["closes"], abs(lik._close(b, ms[b], Ps[b]) - want)
+            want = oracles.close_message(lam_info[b], eta[b], c[b], ms[b], Ps[b])
+            worst["closes"] = max(worst["closes"], abs(lik._close(b, rows[b]) - want)
                                   / (abs(want) or 1.0))  # the last point's close is 0
         seen["zero gaps"] += int(np.sum(gaps[1:] == 0.0))
         seen["n=1"] += n == 1
@@ -414,7 +445,8 @@ def test_scalar_filter_and_close_match_the_numpy_oracles():
 
 
 def test_a_sweep_of_scores_makes_no_numpy_step_per_point(monkeypatch):
-    """After ``start_sweep``, scoring and deciding need no transition stack and no LAPACK call."""
+    """After ``start_sweep``, scoring, deciding and ``total`` need no transition stack, no
+    LAPACK call and no ``_stack`` of their float rows into arrays."""
     rng = np.random.default_rng(2037)
     data, kspec, _ = _instance(rng)
     start = simulate_path(LSPEC, [(0.0, 1.0)], rng)
@@ -427,6 +459,7 @@ def test_a_sweep_of_scores_makes_no_numpy_step_per_point(monkeypatch):
                 raise AssertionError("per-point numpy call in a sweep")
 
             monkeypatch.setattr(StateSpaceLikelihood, "_transition", forbidden)
+            monkeypatch.setattr(statespace, "_stack", forbidden)
             monkeypatch.setattr(np.linalg, "solve", forbidden)
             monkeypatch.setattr(np.linalg, "slogdet", forbidden)
         scores = []
@@ -438,6 +471,7 @@ def test_a_sweep_of_scores_makes_no_numpy_step_per_point(monkeypatch):
             lik.decide(accepted)
             if accepted:
                 path = candidate
+        scores.append(lik.total(path))
         runs.append(scores)
     assert runs[0] == runs[1]
 
@@ -633,8 +667,7 @@ def test_non_positive_close_determinant_raises_with_context(monkeypatch):
     def broken(self, path):
         real(self, path)
         # Lam = -1e6 e0 e0' gives det(I + Lam P) = 1 - 1e6 P[0, 0] < 0
-        self._lam_info[:] = 0.0
-        self._lam_info[:, 0, 0] = -1e6
+        self._msgs = [(*row[:3], -1e6, 0.0, 0.0, 0.0, 0.0, 0.0, row[9]) for row in self._msgs]
 
     monkeypatch.setattr(StateSpaceLikelihood, "start_sweep", broken)
     rng = np.random.default_rng(6)
