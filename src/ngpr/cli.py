@@ -227,7 +227,7 @@ def _resolve_fit_inputs(cfg: dict[str, str], X, meta: dict[str, str]):
         else:
             hull = [(X[:, k].min(), X[:, k].max()) for k in range(X.shape[1])]
             cfg["fit.domain"] = serialize.format_domains(hull)
-    return float(cfg["noise.variance"]), serialize.parse_domains(cfg["fit.domain"])
+    return _get(cfg, "noise.variance", float), _get(cfg, "fit.domain", serialize.parse_domains)
 
 
 def cmd_fit(args) -> int:

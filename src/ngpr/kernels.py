@@ -51,12 +51,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.length_scale > 0:
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-        if not self.signal_variance > 0:
-            raise ValueError(f"signal_variance must be positive, got {self.signal_variance}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        if not 0 < self.length_scale < np.inf:
+            raise ValueError(f"length_scale must be positive and finite, got {self.length_scale}")
+        if not 0 < self.signal_variance < np.inf:
+            raise ValueError(f"signal_variance must be positive and finite, got {self.signal_variance}")
+        if not 0 <= self.jitter < np.inf:
+            raise ValueError(f"jitter must be non-negative and finite, got {self.jitter}")
 
 
 def _covariance(spec: KernelSpec, r: np.ndarray) -> np.ndarray:

@@ -56,14 +56,14 @@ class LevyMeasureSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown subordinator family {self.family!r}")
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
+        if not 0 < self.C < np.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
         if self.family in (TEMPERED_STABLE, STABLE) and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.family == GAMMA and not self.beta > 0:
-            raise ValueError(f"beta must be positive for the gamma family, got {self.beta}")
-        if self.family == TEMPERED_STABLE and self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if self.family == GAMMA and not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite for gamma, got {self.beta}")
+        if self.family == TEMPERED_STABLE and not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be non-negative and finite, got {self.beta}")
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
 

@@ -14,7 +14,7 @@ proposal only the points in and next to its interval, and otherwise (the SE
 kernel has no finite state form, and multi-dimensional inputs no order) the
 dense ``log_conditional_likelihood`` of the whole candidate.
 ``fold_posteriors`` folds the conditional GP posterior at the test points
-(state space: two-filter Kalman smoothing; dense: ``gp.posterior``) of
+(state space: Rauch-Tung-Striebel smoothing; dense: ``gp.posterior``) of
 each post burn-in sweep's path into the mean and covariance of an equally
 weighted Gaussian mixture, the regression output; ``pool_summaries`` pools
 chains.  A mixture holds one m x m array, its covariance: each posterior is

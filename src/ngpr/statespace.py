@@ -24,26 +24,20 @@ the filtered states of the prefix left of the current interval.  Scoring a
 proposal filters the interval's points and the first point after it, one
 point at a time, then closes with ``log int beta_b(s) N(s; m_b, P_b) ds``.
 A step is about 150 flops, fewer than a numpy call costs, so both run in
-plain float arithmetic: the predict is ``P <- Pinf + A (P - Pinf) A'`` on
-the 6 entries of the symmetric ``P``, and the close inverts ``I + Lam P`` by
-its adjugate.  A filtered state ``(m, P, ll)`` or message ``(eta, Lam, c)``
-is one row, a tuple of 10 floats ``(v0, v1, v2, s00, s01, s02, s11, s12,
-s22, c)`` with ``s`` the upper entries of the symmetric matrix; only the
-posterior stacks rows into arrays, by ``_stack``.
+plain float arithmetic: the predict is ``P <- Pinf + A (P - Pinf) A'``, a
+congruence (``_congruence``) on the 6 entries of the symmetric ``P``, and
+the close inverts ``I + Lam P`` by its adjugate.  A filtered state
+``(m, P, ll)`` or message ``(eta, Lam, c)`` is one row of 10 floats
+``(v0, v1, v2, s00, s01, s02, s11, s12, s22, c)``, ``s`` the upper entries.
 
-Every whole-path pass is one of two recursions over all n points.  The
-forward filter ``_filter`` from the stationary prior gives ``total``.  The
-backward information recursion ``_messages`` (Sarkka 2013, *Bayesian
-Filtering and Smoothing*) absorbs each point's observation into
-``(eta, Lam, c)`` and integrates the transition out with ``I + Lam Q``, so
-neither ``P`` nor ``Q`` is ever inverted; it gives the messages of
-``start_sweep``.
-
-``posterior`` gives a stored sweep's conditional posterior at the test
-points without a Gram matrix.  Both recursions give the smoothed training
-states by the two-filter formula: the filtered ``N(m, P)`` times the
-backward message is ``N(M'^-1 (m + P eta), P M^-1)`` with ``M = I + Lam P``,
-batched over the points; the gains ``G_k = P_k A' P_{k+1|k}^-1`` link them.
+The forward filter ``_filter`` from the stationary prior gives ``total``.
+The backward information recursion ``_messages`` (Sarkka 2013, *Bayesian
+Filtering and Smoothing*) gives the messages of ``start_sweep``: it absorbs
+each point's observation into ``(eta, Lam, c)`` and integrates the
+transition out with ``I + Lam Q``, so neither ``P`` nor ``Q`` is inverted.
+``posterior`` smooths the filter's rows by Rauch-Tung-Striebel (same book)
+in one float loop from the last point down, with the gains
+``G_k = P_k A' P_{k+1|k}^-1``; its covariance step is the same congruence.
 Each test point is predicted from its left training neighbour (the
 stationary prior before the first) and smoothed one step against its right
 one, in one batched pass.  On the chain of sorted test and training states
@@ -62,6 +56,7 @@ The gains come from adjugates, never from LAPACK; no m x m solve is made.
 from __future__ import annotations
 
 import math
+from operator import sub
 
 import numpy as np
 
@@ -72,7 +67,9 @@ from .levy import SubordinatorPath
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _I3 = np.eye(3)
-_SYM = [3, 4, 5, 4, 6, 7, 5, 7, 8]  # the row entries of the full symmetric matrix, row by row
+_UPPER = [0, 1, 2, 4, 5, 8]  # the upper entries of a flattened 3 x 3 matrix
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the full symmetric matrix of its upper entries, row by row
+_SYM = [3 + i for i in _FULL]  # _FULL over the entries 3 to 8 of a row
 
 
 def _stack(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,6 +98,22 @@ def _adj3(n00, n01, n02, n10, n11, n12, n20, n21, n22) -> tuple[tuple, float]:
     c10, c11, c12 = n12 * n20 - n10 * n22, n00 * n22 - n02 * n20, n02 * n10 - n00 * n12
     c20, c21, c22 = n10 * n21 - n11 * n20, n01 * n20 - n00 * n21, n00 * n11 - n01 * n10
     return (c00, c01, c02, c10, c11, c12, c20, c21, c22), n00 * c00 + n01 * c10 + n02 * c20
+
+
+def _congruence(base, M, D) -> tuple:
+    """Upper entries of symmetric ``base + M D M'``: ``base``, ``D`` upper entries, ``M`` rows."""
+    q00, q01, q02, q11, q12, q22 = base
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = M
+    d00, d01, d02, d11, d12, d22 = D
+    b00, b01, b02 = (a00 * d00 + a01 * d01 + a02 * d02, a00 * d01 + a01 * d11 + a02 * d12,
+                     a00 * d02 + a01 * d12 + a02 * d22)
+    b10, b11, b12 = (a10 * d00 + a11 * d01 + a12 * d02, a10 * d01 + a11 * d11 + a12 * d12,
+                     a10 * d02 + a11 * d12 + a12 * d22)
+    b20, b21, b22 = (a20 * d00 + a21 * d01 + a22 * d02, a20 * d01 + a21 * d11 + a22 * d12,
+                     a20 * d02 + a21 * d12 + a22 * d22)
+    return (q00 + b00 * a00 + b01 * a01 + b02 * a02, q01 + b00 * a10 + b01 * a11 + b02 * a12,
+            q02 + b00 * a20 + b01 * a21 + b02 * a22, q11 + b10 * a10 + b11 * a11 + b12 * a12,
+            q12 + b10 * a20 + b11 * a21 + b12 * a22, q22 + b20 * a20 + b21 * a21 + b22 * a22)
 
 
 def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,14 +271,11 @@ class StateSpaceLikelihood:
         whose warped value is ``w[0]``, or at the stationary prior when
         ``start`` is 0 (then ``w`` holds only the filtered points).  Returns
         one row ``(m, P, ll)`` per point: the filtered mean and covariance and
-        the cumulative log-likelihood.
-
-        Scalar steps: a gap ``d > 0`` predicts ``m <- A m`` and
-        ``P <- Pinf + A (P - Pinf) A'``, which is ``A P A' + Q(d)``.
+        the cumulative log-likelihood.  A gap ``d > 0`` predicts first, in scalar steps.
         """
-        (q00, q01, q02), (_, q11, q12), (*_, q22) = self._pinf.tolist()
+        pinf = q00, q01, q02, q11, q12, q22 = self._pinf.reshape(9)[_UPPER].tolist()
         m0, m1, m2, p00, p01, p02, p11, p12, p22, ll = self._state if start else (
-            0.0, 0.0, 0.0, q00, q01, q02, q11, q12, q22, 0.0)
+            0.0, 0.0, 0.0, *pinf, 0.0)
         w = w.tolist() if start else w[:1].tolist() + w.tolist()  # the first point's gap is 0
         lam, r, taylor = self._lam, self._r, self._taylor
         out = []
@@ -273,28 +283,12 @@ class StateSpaceLikelihood:
             d = w[i + 1] - w[i]
             if d > 0.0:
                 e, h = math.exp(-lam * d), 0.5 * d * d
-                a00, a01, a02, a10, a11, a12, a20, a21, a22 = [
+                a = a00, a01, a02, a10, a11, a12, a20, a21, a22 = [
                     e * (t + u * d + v * h) for t, u, v in taylor]
                 m0, m1, m2 = (a00 * m0 + a01 * m1 + a02 * m2, a10 * m0 + a11 * m1 + a12 * m2,
                               a20 * m0 + a21 * m1 + a22 * m2)
-                d00, d01, d02 = p00 - q00, p01 - q01, p02 - q02
-                d11, d12, d22 = p11 - q11, p12 - q12, p22 - q22
-                # rows of A (P - Pinf)
-                b00, b01, b02 = (a00 * d00 + a01 * d01 + a02 * d02,
-                                 a00 * d01 + a01 * d11 + a02 * d12,
-                                 a00 * d02 + a01 * d12 + a02 * d22)
-                b10, b11, b12 = (a10 * d00 + a11 * d01 + a12 * d02,
-                                 a10 * d01 + a11 * d11 + a12 * d12,
-                                 a10 * d02 + a11 * d12 + a12 * d22)
-                b20, b21, b22 = (a20 * d00 + a21 * d01 + a22 * d02,
-                                 a20 * d01 + a21 * d11 + a22 * d12,
-                                 a20 * d02 + a21 * d12 + a22 * d22)
-                p00, p01, p02 = (q00 + b00 * a00 + b01 * a01 + b02 * a02,
-                                 q01 + b00 * a10 + b01 * a11 + b02 * a12,
-                                 q02 + b00 * a20 + b01 * a21 + b02 * a22)
-                p11, p12, p22 = (q11 + b10 * a10 + b11 * a11 + b12 * a12,
-                                 q12 + b10 * a20 + b11 * a21 + b12 * a22,
-                                 q22 + b20 * a20 + b21 * a21 + b22 * a22)
+                p00, p01, p02, p11, p12, p22 = _congruence(pinf, a, (
+                    p00 - q00, p01 - q01, p02 - q02, p11 - q11, p12 - q12, p22 - q22))
             s = p00 + r
             if not s > 0.0:
                 P = np.array([[p00, p01, p02], [p01, p11, p12], [p02, p12, p22]])
@@ -488,31 +482,36 @@ class StateSpaceLikelihood:
         return G
 
     def _smooth(self, w: np.ndarray, ms: np.ndarray, Ps: np.ndarray):
-        """Two-filter smoothing of the sorted training states filtered at warped values ``w``.
+        """Rauch-Tung-Striebel smoothing of the sorted training states filtered at warped ``w``.
 
-        The filtered ``N(m, P)`` times the backward message ``(Lam, eta)`` of
-        ``_messages`` is the smoothed state: with ``M = I + Lam P``, covariance
-        ``P M^-1`` and mean ``M'^-1 (m + P eta)``, by adjugates.  Returns the
-        smoothed means and covariances and the gains ``G_k`` linking point
-        ``k`` to ``k + 1``.
+        The gains ``G_k`` and predictions ``A_k m_k``, ``P_{k+1|k}`` are batched; a loop in
+        floats from the last point down takes ``sm_k = m_k + G_k (sm_{k+1} - A_k m_k)`` and
+        ``sP_k = P_k + G_k (sP_{k+1} - P_{k+1|k}) G_k'``.  Returns ``sm``, ``sP`` and ``G``.
         """
-        n = self.n
-        eta, lam_info, _ = _stack(self._messages(w))
-        adj, det = _adjugate(lam_info @ Ps + _I3)  # det >= 1: Lam and P are positive semi-definite
-        sP = _sym(Ps @ adj) / det[:, None, None]
-        sm = _mv(adj.transpose(0, 2, 1), ms + _mv(Ps, eta)) / det[:, None]
         gaps = np.diff(w)
         A, Q = self._transition(gaps)
         AP = A @ Ps[:-1]
-        G = self._gains(AP @ A.transpose(0, 2, 1) + Q, AP, gaps, lambda k: (
-            f"sorted point {k + 1} of n={n} (warped gap {gaps[k]:.3e})"))
-        return sm, sP, G
+        P_pred = AP @ A.transpose(0, 2, 1) + Q
+        G = self._gains(P_pred, AP, gaps, lambda k: (
+            f"sorted point {k + 1} of n={self.n} (warped gap {gaps[k]:.3e})"))
+        mf, pf = ms.tolist(), Ps.reshape(-1, 9)[:, _UPPER].tolist()
+        Am, pp = _mv(A, ms[:-1]).tolist(), P_pred.reshape(-1, 9)[:, _UPPER].tolist()
+        (s0, s1, s2), sp = mf[-1], pf[-1]
+        for k, g in zip(range(len(Am) - 1, -1, -1), G.reshape(-1, 9)[::-1].tolist()):
+            (m0, m1, m2), (b0, b1, b2) = mf[k], Am[k]
+            g00, g01, g02, g10, g11, g12, g20, g21, g22 = g
+            t0, t1, t2 = s0 - b0, s1 - b1, s2 - b2
+            mf[k] = s0, s1, s2 = (m0 + g00 * t0 + g01 * t1 + g02 * t2,
+                                  m1 + g10 * t0 + g11 * t1 + g12 * t2,
+                                  m2 + g20 * t0 + g21 * t1 + g22 * t2)
+            pf[k] = sp = _congruence(pf[k], g, map(sub, sp, pp[k]))
+        return np.array(mf), np.array(pf).take(_FULL, axis=1).reshape(-1, 3, 3), G
 
     def posterior(self, path: SubordinatorPath | None, X_test) -> ConditionalPosterior:
-        """GP posterior at ``X_test`` on the warp ``path``, by two-filter smoothing.
+        """GP posterior at ``X_test`` on the warp ``path``, by Rauch-Tung-Striebel smoothing.
 
         The model, moments and log conditional likelihood of
-        ``gp.posterior``, from one forward and one backward pass over the
+        ``gp.posterior``, from one filter and one smoother pass over the
         training points, batched work per test point and O(m^2) for the
         m x m covariance.  It runs both passes itself, so the chain's
         filtered prefix and backward messages are left as they were.

@@ -724,11 +724,14 @@ def test_unknown_set_key_exits_2(workdir, capsys):
     assert not (out / "dataset.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["levy.c", "gen.n_points", "gen.domain"])
+@pytest.mark.parametrize("key", ["levy.c", "gen.n_points", "gen.domain", "noise.variance",
+                                 "fit.domain"])
 def test_unparsable_value_names_its_key(workdir, key, capsys):
+    args = ["fit", "--data", str(_gen(workdir) / "dataset.csv")] if key in (
+        "noise.variance", "fit.domain") else ["gen"]  # the two keys only fit reads
     out = workdir / "data_bad"
     out.mkdir()
-    rc = cli.main(["gen", "-c", str(workdir / "config.txt"), "--out", str(out),
+    rc = cli.main([*args, "-c", str(workdir / "config.txt"), "--out", str(out),
                    "--set", f"{key}=abc"])
     assert rc == 2
     assert f"config key {key!r}" in capsys.readouterr().err

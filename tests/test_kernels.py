@@ -94,6 +94,10 @@ def test_spec_validation():
         KernelSpec(SQUARED_EXPONENTIAL, 0.1, signal_variance=0.0)
     with pytest.raises(ValueError):
         KernelSpec(SQUARED_EXPONENTIAL, 0.1, jitter=-1e-9)
+    for bad in (np.nan, np.inf):  # a non-finite value is rejected, not fitted
+        for kwargs in (dict(length_scale=bad), dict(signal_variance=bad), dict(jitter=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                KernelSpec(MATERN52, **kwargs)
 
 
 def _bits(a):

@@ -202,6 +202,13 @@ def test_assign_positions_rejects_degenerate_domain():
     dict(family=TEMPERED_STABLE, C=1.0, alpha=0.5, beta=-1.0),
     dict(family=GAMMA, C=1.0, beta=0.0),
     dict(family=TEMPERED_STABLE, C=1.0, n_terms=0),
+    # non-finite values, which would otherwise draw no jumps at all
+    dict(family=TEMPERED_STABLE, C=np.inf),
+    dict(family=GAMMA, C=np.nan),
+    dict(family=TEMPERED_STABLE, C=1.0, beta=np.nan),
+    dict(family=TEMPERED_STABLE, C=1.0, beta=np.inf),
+    dict(family=GAMMA, C=1.0, beta=np.nan),
+    dict(family=GAMMA, C=1.0, beta=np.inf),
 ])
 def test_measure_spec_validation(kwargs):
     with pytest.raises(ValueError):
