@@ -5,10 +5,12 @@ built-in ``DEFAULTS``, the flat dotted-key file given with ``-c``, and
 ``--set key=value`` pairs.  A key outside ``DEFAULTS`` is a usage error.
 Each run echoes its effective configuration, with ``levy.c`` resolved to a
 number: ``gen`` into ``dataset.meta``, ``fit`` into the bundle's
-``config.txt``.  ``fit`` reads only ``gen.noise_std`` and ``gen.domain`` from
-the ``.meta`` sidecar of its dataset CSV, and takes its plain-GP baselines
-from ``sampler.chain_likelihood``.  ``predict`` folds each chain's paths file
-and pools them as ``fit`` does, writing ``posterior.csv`` at the dataset inputs.
+``config.txt``.  ``fit`` reads only ``gen.noise_std``, ``gen.domain`` and
+``levy.family`` from the ``.meta`` sidecar of its dataset CSV: on
+``levy.family = identity`` data, ``--true-path`` scores the identity warp.
+It takes its plain-GP baselines from ``sampler.chain_likelihood``.
+``predict`` folds each chain's paths file (``_chain_files`` names them) and
+pools them as ``fit`` does, writing ``posterior.csv`` at the dataset inputs.
 Exit codes: 0 success, 1 numerical failure, 2 usage or I/O error.
 """
 
@@ -202,27 +204,41 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_dataset(path: Path):
+    """``X, y, observed`` of the dataset CSV ``path``, then its ``.meta`` sidecar path and keys."""
     X, y, observed = _read(path, serialize.read_dataset_csv)
     if not observed.any():
         raise UsageError(f"dataset has no {'observed ' if observed.size else ''}rows: {path}")
     meta_path = path.with_suffix(".meta")
     meta = _read_kv(meta_path) if meta_path.is_file() else {}
-    return X, y, observed, meta
+    return X, y, observed, meta_path, meta
 
 
-def _resolve_fit_inputs(cfg: dict[str, str], X, meta: dict[str, str]):
+def _chain_files(n_chains: int) -> list[tuple[str, str]]:
+    """Each chain's trace and paths CSV names in a fit bundle."""
+    suffixes = [""] if n_chains == 1 else [f"_chain{i}" for i in range(n_chains)]
+    return [(f"trace{s}.csv", f"paths{s}.csv") for s in suffixes]
+
+
+def _resolve_fit_inputs(cfg: dict[str, str], X, meta_path: Path, meta: dict[str, str]):
+    def from_meta(key, convert):  # a bad sidecar value names the sidecar
+        try:
+            return _get(meta, key, convert)
+        except UsageError as exc:
+            raise UsageError(f"{meta_path}: {exc}") from None
+
     if cfg["noise.variance"] == "auto":
         if "gen.noise_std" not in meta:
             raise UsageError(
                 "noise.variance is 'auto' but the dataset has no metadata sidecar; "
                 "set noise.variance explicitly")
-        noise_std = float(meta["gen.noise_std"])
+        noise_std = from_meta("gen.noise_std", float)
         if noise_std <= 0:
             raise UsageError("cannot derive noise.variance from a noise-free dataset; "
                              "set noise.variance explicitly")
         cfg["noise.variance"] = repr(noise_std ** 2)
     if cfg["fit.domain"] == "auto":
         if "gen.domain" in meta:
+            from_meta("gen.domain", serialize.parse_domains)
             cfg["fit.domain"] = meta["gen.domain"]
         else:
             hull = [(X[:, k].min(), X[:, k].max()) for k in range(X.shape[1])]
@@ -234,8 +250,8 @@ def cmd_fit(args) -> int:
     cfg = load_config(args)
     out_dir = _require_dir(Path(args.out))
     data_path = Path(args.data)
-    X, y, observed, meta = _load_dataset(data_path)
-    noise_variance, domains = _resolve_fit_inputs(cfg, X, meta)
+    X, y, observed, meta_path, meta = _load_dataset(data_path)
+    noise_variance, domains = _resolve_fit_inputs(cfg, X, meta_path, meta)
     if len(domains) != X.shape[1]:
         raise UsageError(f"fit.domain has {len(domains)} dimensions, dataset has {X.shape[1]}")
     cfg["io.dataset"] = str(data_path.resolve())
@@ -252,6 +268,11 @@ def cmd_fit(args) -> int:
     true_path = None
     if args.true_path:
         true_path = _read(Path(args.true_path), serialize.read_jumps_csv, domains)
+        if meta.get("levy.family") == "identity":  # gen's empty file: the identity warp, not W = 0
+            if true_path.n_jumps():
+                raise UsageError(f"{args.true_path}: a path with jumps, but {meta_path} records "
+                                 f"levy.family = identity")
+            true_path = None
 
     data = RegressionData(X[observed], y[observed], noise_variance)
     mix, chains = run_chains(data, X, kspec, lspec, scfg, n_chains=n_chains, domains=domains)
@@ -260,11 +281,11 @@ def cmd_fit(args) -> int:
     (out_dir / "summary.json").unlink(missing_ok=True)
     _write_posterior(out_dir / "posterior.csv", X, mix.moments, noise_variance)
 
-    for idx, chain in enumerate(chains):
-        suffix = "" if n_chains == 1 else f"_chain{idx}"
-        with open(out_dir / f"trace{suffix}.csv", "w", newline="") as fp:
+    files = _chain_files(n_chains)
+    for chain, (trace_name, paths_name) in zip(chains, files):
+        with open(out_dir / trace_name, "w", newline="") as fp:
             serialize.write_trace_csv(fp, chain.trace)
-        with open(out_dir / f"paths{suffix}.csv", "w", newline="") as fp:
+        with open(out_dir / paths_name, "w", newline="") as fp:
             serialize.write_sampled_paths_csv(fp, chain.paths, chain.sweeps)
 
     lik = chain_likelihood(data, kspec)
@@ -287,7 +308,7 @@ def cmd_fit(args) -> int:
         "noise_variance": noise_variance,
     }
 
-    if true_path is not None:
+    if args.true_path:
         summary["true_path_log_cond_lik"] = lik.total(true_path)
 
     held = ~observed
@@ -304,7 +325,8 @@ def cmd_fit(args) -> int:
     print(f"acceptance_rate={mix.acceptance_rate:.3f} "
           f"avg_log_cond_lik={mix.avg_log_cond_lik:.2f} "
           f"gp_log_marginal={lml_fixed:.2f}")
-    print(f"wrote posterior.csv, trace.csv, paths.csv, summary.json to {out_dir}")
+    print(f"wrote posterior.csv, {', '.join(name for pair in files for name in pair)}, "
+          f"summary.json to {out_dir}")
     return 0
 
 
@@ -321,7 +343,7 @@ def cmd_predict(args) -> int:
     _apply_set(cfg, args.set)
     out_path = _require_parent(Path(args.out))
 
-    X, y, observed, _meta = _load_dataset(_get(cfg, "io.dataset", Path))
+    X, y, observed, *_ = _load_dataset(_get(cfg, "io.dataset", Path))
     noise_variance = _get(cfg, "noise.variance", float)
     domains = _get(cfg, "fit.domain", serialize.parse_domains)
     kspec = kernel_from_config(cfg)
@@ -340,8 +362,8 @@ def cmd_predict(args) -> int:
     n_chains = _get(cfg, "sampler.n_chains", int)
     lik = chain_likelihood(data, kspec)
     summaries = []
-    for suffix in [""] if n_chains == 1 else [f"_chain{i}" for i in range(n_chains)]:
-        paths_file = bundle / f"paths{suffix}.csv"
+    for _, paths_name in _chain_files(n_chains):
+        paths_file = bundle / paths_name
         stored = _read(paths_file, serialize.read_sampled_paths_csv, domains)
         summary, _ = fold_posteriors(lik, stored, X_new)
         if summary is None:

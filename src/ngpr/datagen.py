@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import NumericalError
 from .kernels import KernelSpec, build_gram
-from .levy import LevyMeasureSpec, SubordinatorPath, simulate_path
+from .levy import LevyMeasureSpec, SubordinatorPath, finite_domain, simulate_path
 from .gp import warp_inputs
 
 EVEN_GRID = "even"
@@ -33,19 +33,15 @@ class GenSpec:
     grid: str = EVEN_GRID
 
     def __post_init__(self):
-        object.__setattr__(self, "domains",
-                           tuple((float(lo), float(hi)) for lo, hi in self.domains))
-        for lo, hi in self.domains:
-            if not lo < hi:
-                raise ValueError(f"degenerate domain ({lo}, {hi})")
+        object.__setattr__(self, "domains", tuple(finite_domain(lo, hi) for lo, hi in self.domains))
         if self.n_points < 1:
             raise ValueError(f"n_points must be at least 1, got {self.n_points}")
         if not 1 <= self.n_observed <= self.n_points:
             raise ValueError(
                 f"n_observed ({self.n_observed}) must lie in [1, n_points={self.n_points}]"
             )
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         if self.grid not in (EVEN_GRID, UNIFORM_GRID):
             raise ValueError(f"unknown grid mode {self.grid!r}")
 

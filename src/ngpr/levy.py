@@ -68,6 +68,14 @@ class LevyMeasureSpec:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
 
 
+def finite_domain(lo, hi) -> tuple[float, float]:
+    """The bounds ``(lo, hi)`` as floats; ``ValueError`` unless both are finite and ``lo < hi``."""
+    lo, hi = float(lo), float(hi)
+    if not -np.inf < lo < hi < np.inf:  # NaN fails every comparison
+        raise ValueError(f"domain ({lo}, {hi}) needs finite bounds with lo < hi")
+    return lo, hi
+
+
 def _sorted_jumps(positions, magnitudes, lo: float, hi: float):
     """Jumps stable-sorted by position; magnitudes positive and finite, positions in [lo, hi]."""
     positions = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -89,7 +97,7 @@ class JumpSet:
     """Finite point set (positions, magnitudes) of a subordinator on an interval.
 
     Magnitudes are strictly positive and finite, and positions lie inside
-    the closed domain.  Construction stable-sorts the jumps by position
+    the closed domain, whose bounds are a ``finite_domain``.  Construction stable-sorts the jumps by position
     (ties keep their input order), so ``positions`` is non-decreasing with
     ``magnitudes`` aligned.  The read-only ``cumulative`` holds the prefix sums of the
     sorted magnitudes, starting at 0, so W(x) is ``cumulative[i]`` for
@@ -103,9 +111,7 @@ class JumpSet:
     cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo, hi = float(self.domain[0]), float(self.domain[1])
-        if not lo < hi:
-            raise ValueError(f"degenerate domain ({lo}, {hi})")
+        lo, hi = finite_domain(*self.domain)
         positions, magnitudes = _sorted_jumps(self.positions, self.magnitudes, lo, hi)
         self._freeze(positions, magnitudes, np.concatenate(([0.0], np.cumsum(magnitudes))),
                      (lo, hi))
@@ -206,8 +212,8 @@ def simulate_jumps(spec: LevyMeasureSpec, region_measure: float, rng: np.random.
     """
     if domain_measure is None:
         domain_measure = region_measure
-    if not (region_measure > 0 and domain_measure > 0):
-        raise ValueError(f"region and domain measures must be positive, "
+    if not (0 < region_measure < np.inf and 0 < domain_measure < np.inf):
+        raise ValueError(f"region and domain measures must be positive and finite, "
                          f"got {region_measure} and {domain_measure}")
     horizon = spec.n_terms / domain_measure
     k = rng.poisson(region_measure * horizon)
@@ -227,7 +233,8 @@ def assign_positions(magnitudes: np.ndarray, domain: tuple[float, float],
                      rng: np.random.Generator) -> JumpSet:
     """Pair each magnitude with an independent uniform position on the open domain."""
     magnitudes = np.asarray(magnitudes, dtype=float)
-    return JumpSet(rng.uniform(domain[0], domain[1], size=magnitudes.size), magnitudes, domain)
+    lo, hi = finite_domain(*domain)  # before the draw, which overflows on an infinite domain
+    return JumpSet(rng.uniform(lo, hi, size=magnitudes.size), magnitudes, (lo, hi))
 
 
 def simulate_path(spec: LevyMeasureSpec, domains: Sequence[tuple[float, float]],

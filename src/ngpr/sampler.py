@@ -34,7 +34,7 @@ from scipy.linalg.blas import daxpy, dger
 from .errors import NumericalError
 from .gp import ConditionalPosterior, RegressionData, log_conditional_likelihood, posterior
 from .kernels import MATERN52, KernelSpec, as_point_matrix
-from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, simulate_jumps
+from .levy import JumpSet, LevyMeasureSpec, SubordinatorPath, finite_domain, simulate_jumps
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,7 @@ class MixturePosterior:
 
 def partition_edges(domain: tuple[float, float], n_intervals: int) -> np.ndarray:
     """Equal-width interval edges covering the domain."""
-    lo, hi = domain
-    if not lo < hi:
-        raise ValueError(f"degenerate domain ({lo}, {hi})")
-    return np.linspace(lo, hi, n_intervals + 1)
+    return np.linspace(*finite_domain(*domain), n_intervals + 1)
 
 
 def init_identity(domains: Sequence[tuple[float, float]], n_jumps: int) -> SubordinatorPath:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .levy import JumpSet, SubordinatorPath
+from .levy import JumpSet, SubordinatorPath, finite_domain
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +194,13 @@ def read_inputs_csv(fp) -> np.ndarray:
 
 
 def parse_domains(text: str) -> tuple[tuple[float, float], ...]:
-    """Parse ``lo,hi`` pairs separated by ``;`` into per-dimension intervals."""
+    """Parse ``lo,hi`` pairs separated by ``;`` into per-dimension ``levy.finite_domain`` bounds."""
     domains = []
     for part in text.split(";"):
         pieces = part.split(",")
         if len(pieces) != 2:
             raise ValueError(f"expected 'lo,hi' in domain spec, got {part!r}")
-        domains.append((float(pieces[0]), float(pieces[1])))
+        domains.append(finite_domain(*pieces))
     return tuple(domains)
 
 

@@ -26,7 +26,8 @@ point at a time, then closes with ``log int beta_b(s) N(s; m_b, P_b) ds``.
 A step is about 150 flops, fewer than a numpy call costs, so both run in
 plain float arithmetic: the predict is ``P <- Pinf + A (P - Pinf) A'``, a
 congruence (``_congruence``) on the 6 entries of the symmetric ``P``, and
-the close inverts ``I + Lam P`` by its adjugate.  A filtered state
+the close is the one Gaussian integral of a message against a Gaussian,
+``_absorb``, which inverts ``M = I + Lam P`` by its adjugate.  A filtered state
 ``(m, P, ll)`` or message ``(eta, Lam, c)`` is one row of 10 floats
 ``(v0, v1, v2, s00, s01, s02, s11, s12, s22, c)``, ``s`` the upper entries.
 
@@ -34,7 +35,8 @@ The forward filter ``_filter`` from the stationary prior gives ``total``.
 The backward information recursion ``_messages`` (Sarkka 2013, *Bayesian
 Filtering and Smoothing*) gives the messages of ``start_sweep``: it absorbs
 each point's observation into ``(eta, Lam, c)`` and integrates the
-transition out with ``I + Lam Q``, so neither ``P`` nor ``Q`` is inverted.
+transition out by the same ``_absorb``, now with ``M = I + Lam Q``, then
+takes ``Lam <- A'(M^-1 Lam) A`` by ``_congruence``; neither ``P`` nor ``Q`` is inverted.
 ``posterior`` smooths the filter's rows by Rauch-Tung-Striebel (same book)
 in one float loop from the last point down, with the gains
 ``G_k = P_k A' P_{k+1|k}^-1``; its covariance step is the same congruence.
@@ -122,17 +124,36 @@ def _adjugate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(adj, axis=-1).reshape(-1, 3, 3), det
 
 
-def _adjugate_of_update(lam: tuple, p: tuple) -> tuple[tuple, float]:
-    """``_adj3`` of ``I + Lam P``, of symmetric ``Lam`` and ``P`` given as 6 upper entries each."""
-    l00, l01, l02, l11, l12, l22 = lam
+def _absorb(msg: tuple, p: tuple) -> tuple[tuple, tuple, float, float]:
+    """``log int exp(c - s'Lam s / 2 + eta's) N(s; m, P) ds`` but for its terms in ``m``.
+
+    ``msg`` is a row ``(eta, Lam, c)``, ``p`` the 6 upper entries of ``P``.
+    With ``M = I + Lam P`` the log of the integral is
+    ``k + m'f - m'S m / 2`` for ``f = M^-1 eta``, the symmetric ``S = M^-1 Lam``
+    and ``k = c + (P eta)'f / 2 - log det(M) / 2``; no ``P`` is inverted.
+    Returns ``f``, the upper entries of ``S``, ``k`` and ``det(M)``, with
+    ``M^-1 = adj(M) / det(M)``; all but ``det(M)`` are NaN unless ``det(M) > 0``.
+    """
+    e0, e1, e2, l00, l01, l02, l11, l12, l22, c = msg
     p00, p01, p02, p11, p12, p22 = p
-    n00, n01, n02 = (1.0 + l00 * p00 + l01 * p01 + l02 * p02,
-                     l00 * p01 + l01 * p11 + l02 * p12, l00 * p02 + l01 * p12 + l02 * p22)
-    n10, n11, n12 = (l01 * p00 + l11 * p01 + l12 * p02,
-                     1.0 + l01 * p01 + l11 * p11 + l12 * p12, l01 * p02 + l11 * p12 + l12 * p22)
-    n20, n21, n22 = (l02 * p00 + l12 * p01 + l22 * p02, l02 * p01 + l12 * p11 + l22 * p12,
-                     1.0 + l02 * p02 + l12 * p12 + l22 * p22)
-    return _adj3(n00, n01, n02, n10, n11, n12, n20, n21, n22)
+    (k00, k01, k02, k10, k11, k12, k20, k21, k22), det = _adj3(
+        1.0 + l00 * p00 + l01 * p01 + l02 * p02, l00 * p01 + l01 * p11 + l02 * p12,
+        l00 * p02 + l01 * p12 + l02 * p22, l01 * p00 + l11 * p01 + l12 * p02,
+        1.0 + l01 * p01 + l11 * p11 + l12 * p12, l01 * p02 + l11 * p12 + l12 * p22,
+        l02 * p00 + l12 * p01 + l22 * p02, l02 * p01 + l12 * p11 + l22 * p12,
+        1.0 + l02 * p02 + l12 * p12 + l22 * p22)
+    if not det > 0.0:
+        return (math.nan,) * 3, (math.nan,) * 6, math.nan, det
+    inv = 1.0 / det
+    f0 = (k00 * e0 + k01 * e1 + k02 * e2) * inv
+    f1 = (k10 * e0 + k11 * e1 + k12 * e2) * inv
+    f2 = (k20 * e0 + k21 * e1 + k22 * e2) * inv
+    s = ((k00 * l00 + k01 * l01 + k02 * l02) * inv, (k00 * l01 + k01 * l11 + k02 * l12) * inv,
+         (k00 * l02 + k01 * l12 + k02 * l22) * inv, (k10 * l01 + k11 * l11 + k12 * l12) * inv,
+         (k10 * l02 + k11 * l12 + k12 * l22) * inv, (k20 * l02 + k21 * l12 + k22 * l22) * inv)
+    k = c + 0.5 * ((p00 * e0 + p01 * e1 + p02 * e2) * f0 + (p01 * e0 + p11 * e1 + p12 * e2) * f1
+                   + (p02 * e0 + p12 * e1 + p22 * e2) * f2 - math.log(det))
+    return (f0, f1, f2), s, k, det
 
 
 def _product_form_cov(L: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -311,28 +332,16 @@ class StateSpaceLikelihood:
     def _close(self, b: int, row: tuple) -> float:
         """``log int beta_b(s) N(s; m, P) ds``: the log-likelihood of the points right of ``b``.
 
-        ``(m, P)`` is the filtered state ``row`` of point ``b``.  With
-        ``beta_b(s) = exp(c - s'Lam s / 2 + eta's)`` and ``M = I + Lam P`` it is
-        ``c + m'M^-1 (eta - Lam m / 2) + (P eta)'M^-1 eta / 2 - log det(M) / 2``,
-        which never inverts ``P``.  In plain float arithmetic on the symmetric
-        ``Lam`` and ``P``, ``M^-1 = adj(M) / det(M)`` once ``det(M) > 0``.
+        ``(m, P)`` is the filtered state ``row`` of point ``b`` and
+        ``beta_b(s) = exp(c - s'Lam s / 2 + eta's)`` its backward message, so the
+        value is ``_absorb``'s constant plus ``m'M^-1 eta - m'M^-1 Lam m / 2``
+        for ``M = I + Lam P``.
         """
-        e0, e1, e2, l00, l01, l02, l11, l12, l22, c = msg = self._msgs[b]
-        m0, m1, m2, p00, p01, p02, p11, p12, p22, _ = row
-        (c00, c01, c02, c10, c11, c12, c20, c21, c22), det = _adjugate_of_update(msg[3:9], row[3:9])
-        out = math.nan
-        if det > 0.0:
-            u0 = e0 - 0.5 * (l00 * m0 + l01 * m1 + l02 * m2)
-            u1 = e1 - 0.5 * (l01 * m0 + l11 * m1 + l12 * m2)
-            u2 = e2 - 0.5 * (l02 * m0 + l12 * m1 + l22 * m2)
-            t0, t1, t2 = (0.5 * (p00 * e0 + p01 * e1 + p02 * e2),
-                          0.5 * (p01 * e0 + p11 * e1 + p12 * e2),
-                          0.5 * (p02 * e0 + p12 * e1 + p22 * e2))
-            # m'adj(M) u + t'adj(M) eta, one row of adj(M) per line
-            num = (m0 * (c00 * u0 + c01 * u1 + c02 * u2) + t0 * (c00 * e0 + c01 * e1 + c02 * e2)
-                   + m1 * (c10 * u0 + c11 * u1 + c12 * u2) + t1 * (c10 * e0 + c11 * e1 + c12 * e2)
-                   + m2 * (c20 * u0 + c21 * u1 + c22 * u2) + t2 * (c20 * e0 + c21 * e1 + c22 * e2))
-            out = c + num / det - 0.5 * math.log(det)
+        (f0, f1, f2), (s00, s01, s02, s11, s12, s22), k, det = _absorb(self._msgs[b], row[3:9])
+        m0, m1, m2 = row[:3]
+        out = k + (m0 * (f0 - 0.5 * (s00 * m0 + s01 * m1 + s02 * m2))
+                   + m1 * (f1 - 0.5 * (s01 * m0 + s11 * m1 + s12 * m2))
+                   + m2 * (f2 - 0.5 * (s02 * m0 + s12 * m1 + s22 * m2)))
         if not math.isfinite(out):
             raise NumericalError(
                 f"backward message at sorted point {b} of n={self.n} gave det(I + Lam P) "
@@ -345,66 +354,35 @@ class StateSpaceLikelihood:
 
         Returns one row ``(eta, Lam, c)`` per point; the last point's message is empty.  From
         ``i = n - 2`` down to 0, in plain floats: absorb ``y_{i+1}`` (``Lam00 += 1/r``,
-        ``eta0 += y/r``), then over a gap ``d > 0`` with ``M = I + Lam Q(d)`` take
-        ``Lam <- A'M^-1 Lam A``, ``eta <- A'M^-1 eta`` and
-        ``c += (Q eta)'M^-1 eta / 2 - log det(M) / 2``.
+        ``eta0 += y/r``), then over a gap ``d > 0`` integrate the transition out: the
+        message integrated against ``N(s; A s_i, Q(d))`` is ``_absorb`` of ``Q`` at
+        ``m = A s_i``, so ``c`` becomes its constant, ``eta <- A'M^-1 eta`` and
+        ``Lam <- A'(M^-1 Lam) A`` for ``M = I + Lam Q``.
         """
         n, r = self.n, self._r
         gaps = np.diff(w)
         A, Q = self._transition(gaps)
-        A, Q, gaps = A.reshape(-1, 9).tolist(), Q.reshape(-1, 9).tolist(), gaps.tolist()
+        At, Q = A.transpose(0, 2, 1).reshape(-1, 9).tolist(), Q.reshape(-1, 9)[:, _UPPER].tolist()
         log_2pi_r, inv_r = _LOG_2PI + math.log(r) if r > 0.0 else math.nan, 1.0 / r
-        l00 = l01 = l02 = l11 = l12 = l22 = e0 = e1 = e2 = c = 0.0
+        lam, e0, e1, e2, c = (0.0,) * 6, 0.0, 0.0, 0.0, 0.0
         out = [(0.0,) * 10]
         for i, y in zip(range(n - 2, -1, -1), self._y[:0:-1].tolist()):
-            l00 += inv_r
+            lam = (lam[0] + inv_r, *lam[1:])
             e0 += y * inv_r
             c -= 0.5 * (log_2pi_r + y * y * inv_r)
             d, det = gaps[i], 1.0
             if d > 0.0:
-                q00, q01, q02, _, q11, q12, _, _, q22 = Q[i]
-                (k00, k01, k02, k10, k11, k12, k20, k21, k22), det = _adjugate_of_update(
-                    (l00, l01, l02, l11, l12, l22), (q00, q01, q02, q11, q12, q22))
-                if det > 0.0:
-                    # f = M^-1 eta and the upper entries s of the symmetric M^-1 Lam
-                    inv = 1.0 / det
-                    f0 = (k00 * e0 + k01 * e1 + k02 * e2) * inv
-                    f1 = (k10 * e0 + k11 * e1 + k12 * e2) * inv
-                    f2 = (k20 * e0 + k21 * e1 + k22 * e2) * inv
-                    s00 = (k00 * l00 + k01 * l01 + k02 * l02) * inv
-                    s01 = (k00 * l01 + k01 * l11 + k02 * l12) * inv
-                    s02 = (k00 * l02 + k01 * l12 + k02 * l22) * inv
-                    s11 = (k10 * l01 + k11 * l11 + k12 * l12) * inv
-                    s12 = (k10 * l02 + k11 * l12 + k12 * l22) * inv
-                    s22 = (k20 * l02 + k21 * l12 + k22 * l22) * inv
-                    c += 0.5 * ((q00 * e0 + q01 * e1 + q02 * e2) * f0
-                                + (q01 * e0 + q11 * e1 + q12 * e2) * f1
-                                + (q02 * e0 + q12 * e1 + q22 * e2) * f2 - math.log(det))
-                    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A[i]
-                    # rows of (M^-1 Lam) A, then the upper entries of A' (M^-1 Lam) A
-                    b00, b01, b02 = (s00 * a00 + s01 * a10 + s02 * a20,
-                                     s00 * a01 + s01 * a11 + s02 * a21,
-                                     s00 * a02 + s01 * a12 + s02 * a22)
-                    b10, b11, b12 = (s01 * a00 + s11 * a10 + s12 * a20,
-                                     s01 * a01 + s11 * a11 + s12 * a21,
-                                     s01 * a02 + s11 * a12 + s12 * a22)
-                    b20, b21, b22 = (s02 * a00 + s12 * a10 + s22 * a20,
-                                     s02 * a01 + s12 * a11 + s22 * a21,
-                                     s02 * a02 + s12 * a12 + s22 * a22)
-                    l00, l01, l02 = (a00 * b00 + a10 * b10 + a20 * b20,
-                                     a00 * b01 + a10 * b11 + a20 * b21,
-                                     a00 * b02 + a10 * b12 + a20 * b22)
-                    l11, l12, l22 = (a01 * b01 + a11 * b11 + a21 * b21,
-                                     a01 * b02 + a11 * b12 + a21 * b22,
-                                     a02 * b02 + a12 * b12 + a22 * b22)
-                    e0, e1, e2 = (a00 * f0 + a10 * f1 + a20 * f2, a01 * f0 + a11 * f1 + a21 * f2,
-                                  a02 * f0 + a12 * f1 + a22 * f2)
+                (f0, f1, f2), s, c, det = _absorb((e0, e1, e2, *lam, c), Q[i])
+                t00, t01, t02, t10, t11, t12, t20, t21, t22 = at = At[i]  # the rows of A'
+                e0, e1, e2 = (t00 * f0 + t01 * f1 + t02 * f2, t10 * f0 + t11 * f1 + t12 * f2,
+                              t20 * f0 + t21 * f1 + t22 * f2)
+                lam = _congruence((0.0,) * 6, at, s)
             if not (det > 0.0 and math.isfinite(c)):
                 raise NumericalError(
                     f"backward message at sorted point {i} of n={n} (warped gap {d:.3e}) gave "
                     f"det(I + Lam Q) {det:.3e} and log-likelihood constant {c}; "
                     f"{self._noise_context}")
-            out.append((e0, e1, e2, l00, l01, l02, l11, l12, l22, c))
+            out.append((e0, e1, e2, *lam, c))
         return out[::-1]
 
     def total(self, path: SubordinatorPath | None) -> float:

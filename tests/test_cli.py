@@ -107,6 +107,31 @@ def test_dataset_meta_resolves_to_the_genspec(workdir, family):
     assert meta["levy.c"] == ("auto" if levy is None else repr(float(levy.C)))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_rejects_a_non_finite_noise_std(workdir, value, capsys):
+    out = workdir / "data_bad"
+    out.mkdir()
+    rc = cli.main(["gen", "-c", str(workdir / "config.txt"), "--out", str(out),
+                   "--set", f"gen.noise_std={value}"])
+    assert rc == 2
+    assert "noise_std must be non-negative and finite" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, key", [("gen", "gen.domain"), ("fit", "fit.domain")])
+def test_an_infinite_domain_names_its_key(workdir, command, key, capsys, recwarn):
+    args = ["fit", "--data", str(_gen(workdir) / "dataset.csv")] if command == "fit" else ["gen"]
+    out = workdir / "out_bad"
+    out.mkdir()
+    rc = cli.main([*args, "-c", str(workdir / "config.txt"), "--out", str(out),
+                   "--set", f"{key}=0,inf"])
+    assert rc == 2
+    assert (f"error: config key {key!r}: domain (0.0, inf) needs finite bounds with lo < hi"
+            in capsys.readouterr().err)
+    assert not any(out.iterdir())
+    assert not recwarn.list
+
+
 def test_gen_missing_output_dir_exits_2(workdir, capsys):
     missing = workdir / "nope"
     rc = cli.main(["gen", "-c", str(workdir / "config.txt"), "--out", str(missing)])
@@ -185,6 +210,21 @@ def test_fit_multi_chain_outputs(workdir):
                                          "max": max(counts)}
 
 
+@pytest.mark.parametrize("n_chains, names", [
+    (1, "trace.csv, paths.csv"),
+    (2, "trace_chain0.csv, paths_chain0.csv, trace_chain1.csv, paths_chain1.csv")],
+    ids=["1-chain", "2-chains"])
+def test_fit_names_the_files_it_wrote(workdir, capsys, n_chains, names):
+    data_dir = _gen(workdir)
+    capsys.readouterr()
+    fit_dir = _fit(workdir, data_dir, extra=("--set", f"sampler.n_chains={n_chains}",
+                                             "--set", "sampler.n_sweeps=2"))
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"wrote posterior.csv, {names}, summary.json to {fit_dir}"
+    written = last[len("wrote "):-len(f" to {fit_dir}")].split(", ")
+    assert sorted(f.name for f in fit_dir.iterdir()) == sorted(written + ["config.txt"])
+
+
 def test_fit_reads_a_genspec_only_dataset_meta(workdir):
     """A sidecar of the generating spec alone, as earlier versions wrote, resolves the auto keys."""
     data_dir = _gen(workdir)
@@ -206,6 +246,45 @@ def test_fit_reads_a_genspec_only_dataset_meta(workdir):
     assert echoed["noise.variance"] == repr(0.1 ** 2)
     for name in ("summary.json", "posterior.csv", "trace.csv", "paths.csv"):
         assert (old_fit / name).read_bytes() == (fit_dir / name).read_bytes(), name
+
+
+def test_identity_warp_data_score_the_truth_as_the_identity(workdir, capsys):
+    """gen's empty ``true_path.csv`` of ``levy.family = identity`` data is W(x) = x, not W = 0."""
+    data_dir = _gen(workdir, extra=("--set", "levy.family=identity"))
+    true_path = ("--true-path", str(data_dir / "true_path.csv"))
+    fit_dir = _fit(workdir, data_dir, extra=(*true_path, "--set", "sampler.n_sweeps=2"))
+    summary = json.loads((fit_dir / "summary.json").read_text())
+    assert summary["true_path_log_cond_lik"] == summary["gp_log_marginal"]
+
+    # a jumps file is no identity warp: a usage error, before anything is written
+    (data_dir / "true_path.csv").write_text("dim,position,magnitude\n0,0.1,0.2\n")
+    out = workdir / "fit_jumps"
+    out.mkdir()
+    rc = cli.main(["fit", "-c", str(workdir / "config.txt"), "--data",
+                   str(data_dir / "dataset.csv"), "--out", str(out), *true_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"error: {data_dir / 'true_path.csv'}: a path with jumps, but "
+            f"{data_dir / 'dataset.meta'} records levy.family = identity") in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("entry, bad, detail", [
+    ("gen.noise_std = 0.1", "abc", "could not convert string to float: 'abc'"),
+    ("gen.domain = 0,0.5", "0,inf", "domain (0.0, inf) needs finite bounds with lo < hi")],
+    ids=["gen.noise_std", "gen.domain"])
+def test_a_malformed_sidecar_value_names_the_sidecar_and_key(workdir, capsys, entry, bad, detail):
+    data_dir = _gen(workdir)
+    meta = data_dir / "dataset.meta"
+    key = entry.split(" = ")[0]
+    meta.write_text(meta.read_text().replace(entry, f"{key} = {bad}"))
+    out = workdir / "fit_bad"
+    out.mkdir()
+    rc = cli.main(["fit", "-c", str(workdir / "config.txt"), "--data",
+                   str(data_dir / "dataset.csv"), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {meta}: config key {key!r}: {detail}" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_fit_without_metadata_requires_noise(workdir, tmp_path):

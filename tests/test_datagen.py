@@ -97,6 +97,14 @@ def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(domains=((1.0, 1.0),), n_points=5, n_observed=5, kernel=KSPEC,
                 levy=None, noise_std=0.1)
+    for domain in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match=r"needs finite bounds with lo < hi"):
+            GenSpec(domains=((0.0, 1.0), domain), n_points=4, n_observed=4, kernel=KSPEC,
+                    levy=None, noise_std=0.1, grid="uniform")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise_std must be non-negative and finite"):
+            GenSpec(domains=((0.0, 1.0),), n_points=5, n_observed=5, kernel=KSPEC,
+                    levy=None, noise_std=bad)
 
 
 def test_prior_draw_is_the_lower_cholesky_factor_times_normals():

@@ -9,6 +9,7 @@ from scipy.stats import gamma as gamma_dist, kstest
 from ngpr import (GAMMA, STABLE, TEMPERED_STABLE, JumpSet, LevyMeasureSpec,
                   SubordinatorPath, assign_positions, normalize_scale, simulate_jumps,
                   simulate_path)
+from ngpr.levy import finite_domain
 
 import oracles
 
@@ -62,6 +63,18 @@ def test_simulate_jumps_rejects_nonpositive_measures():
     for region, domain in ((0.0, None), (-1.0, None), (0.5, 0.0), (0.5, -2.0)):
         with pytest.raises(ValueError):
             simulate_jumps(spec, region, rng, domain_measure=domain)
+    for region, domain in ((np.inf, None), (0.5, np.inf), (np.nan, None), (0.5, np.nan)):
+        with pytest.raises(ValueError, match="measures must be positive and finite"):
+            simulate_jumps(spec, region, rng, domain_measure=domain)
+
+
+@pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+def test_jump_sets_need_a_finite_domain(domain):
+    for make in (lambda: finite_domain(*domain), lambda: JumpSet([], [], domain),
+                 lambda: assign_positions(np.ones(3), domain, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match=r"needs finite bounds with lo < hi"):
+            make()
+    assert finite_domain(np.float32(-1), "2.5") == (-1.0, 2.5)
 
 
 def test_zero_tempering_matches_stable_sampler_bitwise():

@@ -114,6 +114,12 @@ def test_propose_leaves_other_dimensions_untouched():
     assert prop.jump_sets[0] is current.jump_sets[0]
 
 
+@pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (1.0, 1.0)])
+def test_partition_edges_need_a_finite_domain(domain):
+    with pytest.raises(ValueError, match=r"needs finite bounds with lo < hi"):
+        partition_edges(domain, 4)
+
+
 def test_boundary_jump_belongs_to_the_last_interval():
     current = init_identity([(0.0, 1.0)], 4)  # has a jump exactly at 1.0
     edges = partition_edges((0.0, 1.0), 4)

@@ -132,6 +132,9 @@ def test_domain_string_roundtrip():
     assert serialize.parse_domains(serialize.format_domains(domains)) == domains
     with pytest.raises(ValueError):
         serialize.parse_domains("0.0")
+    for text in ("0,inf", "-inf,0", "nan,1", "0,1;0,inf", "1,1"):
+        with pytest.raises(ValueError, match=r"needs finite bounds with lo < hi"):
+            serialize.parse_domains(text)
 
 
 def test_inputs_csv_reader_ignores_extra_columns():
